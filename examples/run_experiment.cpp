@@ -76,7 +76,8 @@ using namespace hpmmap;
       "  --jobs N         worker threads for the trial loop; 0 = all hardware\n"
       "                   threads (default 0; results identical for any value)\n"
       "  --perf-summary   append simulator throughput after the run: engine\n"
-      "                   events/sec, mm faults/sec, per-kind mm cycle totals,\n"
+      "                   events/sec, wall ns per mm fault (an upper bound: the\n"
+      "                   whole run's wall time), per-kind mm cycle totals,\n"
       "                   and (when tracing) the mm counters from the metrics\n"
       "                   registry\n"
       "  --trace          record the fault trace and print a summary\n"
@@ -223,8 +224,10 @@ void report_verification(const harness::RunResult& r, bool injected, bool audite
 }
 
 /// Wall-clock scope for --perf-summary: prints host-side throughput
-/// (simulator events and mm faults per wall second) plus the per-kind mm
-/// cycle accounting when it goes out of scope.
+/// (simulator events per wall second, and wall ns per mm fault) plus the
+/// per-kind mm cycle accounting when it goes out of scope. The per-fault
+/// figure divides the *whole* run's wall time, so it is an upper bound on
+/// the mm layer's cost until the program has its own layer timers.
 class PerfSummary {
  public:
   explicit PerfSummary(bool enabled) : enabled_(enabled) {}
@@ -258,9 +261,10 @@ class PerfSummary {
       faults += n;
     }
     if (faults > 0) {
-      std::printf("perf: %llu mm faults = %.3g faults/sec wall; mm cycles by kind:",
+      std::printf("perf: %llu mm faults, <= %.3g wall ns per fault (whole run); "
+                  "mm cycles by kind:",
                   static_cast<unsigned long long>(faults),
-                  wall > 0 ? static_cast<double>(faults) / wall : 0.0);
+                  wall * 1e9 / static_cast<double>(faults));
       for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
         if (fault_counts_[k] == 0) {
           continue;

@@ -104,10 +104,17 @@ double Rng::lognormal_from_moments(double mean, double stdev) noexcept {
   if (mean <= 0.0) {
     return 0.0;
   }
+  return lognormal(lognormal_params(mean, stdev));
+}
+
+Rng::LognormalParams Rng::lognormal_params(double mean, double stdev) noexcept {
   const double cv2 = (stdev / mean) * (stdev / mean);
   const double sigma2 = std::log1p(cv2);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(mu + std::sqrt(sigma2) * normal());
+  return LognormalParams{std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
+double Rng::lognormal(const LognormalParams& p) noexcept {
+  return std::exp(p.mu + p.sigma * normal());
 }
 
 double Rng::exponential(double mean) noexcept {

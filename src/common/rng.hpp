@@ -43,8 +43,19 @@ class Rng {
 
   /// Lognormal given the mean/stdev of the *resulting* distribution —
   /// the natural parameterization for latency components where the paper
-  /// reports sample mean and stdev.
+  /// reports sample mean and stdev. Returns 0 without a draw when
+  /// `mean` <= 0.
   [[nodiscard]] double lognormal_from_moments(double mean, double stdev) noexcept;
+
+  /// The parameter step of lognormal_from_moments(), split out so hot
+  /// callers can cache it: `mean` > 0 required.
+  struct LognormalParams {
+    double mu = 0.0;
+    double sigma = 0.0;
+  };
+  [[nodiscard]] static LognormalParams lognormal_params(double mean, double stdev) noexcept;
+  /// The draw step: exp(mu + sigma * normal()).
+  [[nodiscard]] double lognormal(const LognormalParams& p) noexcept;
 
   /// Exponential with the given mean.
   [[nodiscard]] double exponential(double mean) noexcept;

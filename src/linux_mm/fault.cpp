@@ -1,13 +1,13 @@
 #include "linux_mm/fault.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "linux_mm/smp.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace hpmmap::mm {
-
-namespace {
 
 // Component breakdown collected only while the fault category is
 // enabled. Spans are laid out back-to-back under the parent "fault"
@@ -29,6 +29,8 @@ struct FaultSpans {
     }
   }
 };
+
+namespace {
 
 constexpr const char* cycles_histogram(FaultKind k) {
   switch (k) {
@@ -72,10 +74,17 @@ FaultHandler::FaultHandler(MemorySystem& memory, ThpService* thp, HugetlbPool* h
 FaultResult FaultHandler::finish(FaultResult result, ZoneId zone) {
   // Lognormal jitter on the service portion (not the queueing wait):
   // cache state, IRQ arrivals, sibling interference.
-  const Cycles service = result.cost - result.lock_wait;
-  const double cv = memory_.costs().fault_jitter_cv;
-  const double jittered = memory_.rng().lognormal_from_moments(
-      static_cast<double>(service), cv * static_cast<double>(service));
+  const Cycles service_cycles = result.cost - result.lock_wait;
+  const auto service = static_cast<double>(service_cycles);
+  const double stdev = memory_.costs().fault_jitter_cv * service;
+  double jittered = 0.0;
+  if (service > 0.0) { // lognormal_from_moments() split around the cache
+    JitterParams& slot = jitter_[service_cycles % jitter_.size()];
+    if (slot.mean != service || slot.stdev != stdev) {
+      slot = JitterParams{service, stdev, Rng::lognormal_params(service, stdev)};
+    }
+    jittered = memory_.rng().lognormal(slot.params);
+  }
   result.cost = result.lock_wait + static_cast<Cycles>(jittered);
   // Bandwidth contention already shaped the zeroing terms; the handler's
   // pointer-chasing parts also degrade a little on a saturated node.
@@ -84,7 +93,8 @@ FaultResult FaultHandler::finish(FaultResult result, ZoneId zone) {
   return result;
 }
 
-FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::int32_t core) {
+FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::int32_t core,
+                                 FaultRun* run) {
   const CostModel& costs = memory_.costs();
   FaultResult result;
   FaultSpans ft;
@@ -104,6 +114,21 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
   result.cost = result.lock_wait + costs.fault_entry + costs.vma_lookup;
   ft.add("fault.pt_lock", result.lock_wait);
   ft.add("fault.entry", costs.fault_entry + costs.vma_lookup);
+
+  if (run != nullptr) {
+    // The run covers this page while its PT still holds a live PTE and
+    // this one is empty: same VMA, and the region stays THP-ineligible
+    // and queued with khugepaged, so the THP attempt would fall back
+    // without allocating and note_fallback() would dedup (DESIGN §9.4).
+    if (run->as_ == &as && run->covers(vaddr) && as.page_table().live_entries(run->pt_) > 0 &&
+        !run->pte_mapped(as, vaddr)) {
+      if (thp_ != nullptr) {
+        thp_->count_known_fallback();
+      }
+      return handle_small(as, *run->vma_, vaddr, now, merge_wait, result, ft, core, run);
+    }
+    run->span_ = Range{};
+  }
 
   const Vma* vma = as.vmas().find(vaddr);
   if (vma == nullptr || vma->prot == Prot::kNone) {
@@ -165,16 +190,22 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
     ft.add("fault.thp_attempt", failed_alloc);
   }
 
-  // --- small-page fallback ------------------------------------------------
+  return handle_small(as, *vma, vaddr, now, merge_wait, result, ft, core, run);
+}
+
+FaultResult FaultHandler::handle_small(AddressSpace& as, const Vma& vma, Addr vaddr, Cycles now,
+                                       Cycles merge_wait, FaultResult result, FaultSpans& ft,
+                                       std::int32_t core, FaultRun* run) {
+  const CostModel& costs = memory_.costs();
+  const ZoneId zone = as.zone_for(vaddr);
   // Major fault? Reclaim may have pushed this page to swap; the refault
   // pays a disk read on top of the normal path.
-  const Addr page_addr = align_down(vaddr, kSmallPageSize);
-  const bool swapped_in = as.take_swapped(page_addr);
+  const Addr page = align_down(vaddr, kSmallPageSize);
+  const bool swapped_in = as.take_swapped(page);
   if (swapped_in) {
-    const CostModel& cm = memory_.costs();
     const auto swap_cost = static_cast<Cycles>(memory_.rng().lognormal_from_moments(
-        static_cast<double>(cm.swap_in_mean),
-        cm.swap_in_cv * static_cast<double>(cm.swap_in_mean)));
+        static_cast<double>(costs.swap_in_mean),
+        costs.swap_in_cv * static_cast<double>(costs.swap_in_mean)));
     result.cost += swap_cost;
     ft.add("fault.swap_in", swap_cost);
   }
@@ -217,20 +248,35 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
     }
   }
   if (!alloc_ok) {
+    if (run != nullptr) {
+      run->span_ = Range{};
+    }
     result.err = Errno::kNoMem;
     result.kind = FaultKind::kInvalid;
     result.lock_wait += alloc_wait;
     result.cost += alloc_wait + alloc_cost;
     return emit_fault(as, now, core, result, ft);
   }
-  const Addr page = align_down(vaddr, kSmallPageSize);
   PtOpStats pt_stats;
-  const Errno err = as.page_table().map(page, frame, PageSize::k4K, vma->prot, &pt_stats);
-  HPMMAP_ASSERT(err == Errno::kOk, "walk() said this page was unmapped");
-  // khugepaged_enter: a THP-eligible region just went small; the daemon
-  // will revisit it (and inject merge noise right here, Figure 4).
-  if (thp_ != nullptr && vma->thp_eligible) {
-    thp_->note_fallback(&as, vaddr);
+  // handle() closed the run unless this page continues it.
+  if (run != nullptr && run->covers(vaddr)) {
+    as.page_table().install_pte(run->pt_, page, frame, vma.prot);
+  } else {
+    const Errno err = as.page_table().map(page, frame, PageSize::k4K, vma.prot, &pt_stats);
+    HPMMAP_ASSERT(err == Errno::kOk, "walk() said this page was unmapped");
+    // khugepaged_enter: a THP-eligible region just went small; the daemon
+    // will revisit it (and inject merge noise right here, Figure 4).
+    if (thp_ != nullptr && vma.thp_eligible) {
+      thp_->note_fallback(&as, vaddr);
+    }
+    if (run != nullptr) {
+      // Open a run over the rest of this region and VMA.
+      const Addr region_end = align_down(vaddr, kLargePageSize) + kLargePageSize;
+      run->as_ = &as;
+      run->vma_ = &vma;
+      run->span_ = Range{page, std::min(region_end, vma.range.end)};
+      run->pt_ = *as.page_table().leaf_table(page);
+    }
   }
   result.kind = merge_wait > 0 ? FaultKind::kMergeFollower : FaultKind::kSmall;
   result.used = PageSize::k4K;

@@ -14,6 +14,7 @@
 //   x lognormal jitter (caches, IRQs)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -71,6 +72,34 @@ struct FaultStats {
   }
 };
 
+/// A first-touch run (DESIGN §9.4). Once a fault in a 2 MiB region ends
+/// in a 4 KiB install, the following first touches of that region and
+/// VMA already know the VMA, the region's leaf table (PT), that the
+/// region is no longer THP-eligible and that khugepaged has it queued.
+/// A caller faulting a range in address order keeps one run on its
+/// stack and hands it to every handle() call; handle() opens, extends
+/// and closes it. It never outlives that loop, so snapshots never see it.
+class FaultRun {
+ public:
+  /// Whether `vaddr` lies in the open run: its PTE can then be tested
+  /// with pte_mapped() instead of a page-table walk.
+  [[nodiscard]] bool covers(Addr vaddr) const noexcept { return span_.contains(vaddr); }
+  /// The PTE test for a covered address.
+  [[nodiscard]] bool pte_mapped(const AddressSpace& as, Addr vaddr) const noexcept {
+    return as.page_table().pte_present(pt_, vaddr);
+  }
+
+ private:
+  friend class FaultHandler;
+
+  const AddressSpace* as_ = nullptr;
+  const Vma* vma_ = nullptr;
+  Range span_{};        // [first page, min(2M region end, VMA end)); empty = closed
+  std::uint32_t pt_ = 0; // the region's leaf table
+};
+
+struct FaultSpans;
+
 class FaultHandler {
  public:
   /// `thp` may be null (THP disabled); `hugetlb` may be null (no pools).
@@ -78,8 +107,12 @@ class FaultHandler {
 
   /// Handle a fault at `vaddr` at simulated time `now`. Does not advance
   /// any clock: the caller charges `result.cost` to the faulting thread.
-  /// `core` only tags trace events (per-core Perfetto tracks).
-  FaultResult handle(AddressSpace& as, Addr vaddr, Cycles now, std::int32_t core = -1);
+  /// `core` only tags trace events (per-core Perfetto tracks). With a
+  /// `run`, a fault it covers skips the VMA lookup, the page-table walks
+  /// and the THP attempt its region already answered; the outcome is
+  /// identical to the call without one (DESIGN §9.4).
+  FaultResult handle(AddressSpace& as, Addr vaddr, Cycles now, std::int32_t core = -1,
+                     FaultRun* run = nullptr);
 
   /// With an SmpDomain attached (and core >= 0) the handler *executes*
   /// its lock acquisitions — zone buddy lock (or pcp fast path), PT
@@ -91,12 +124,28 @@ class FaultHandler {
   FaultResult handle_hugetlb(AddressSpace& as, const Vma& vma, Addr vaddr, Cycles now,
                              Cycles base_cost, Cycles lock_wait, Cycles merge_wait,
                              std::int32_t core);
+  /// The 4 KiB body every small fault runs, a run's first page or not:
+  /// swap-in, allocation, PTE install, zeroing, jitter.
+  FaultResult handle_small(AddressSpace& as, const Vma& vma, Addr vaddr, Cycles now,
+                           Cycles merge_wait, FaultResult result, FaultSpans& ft,
+                           std::int32_t core, FaultRun* run);
   FaultResult finish(FaultResult result, ZoneId zone);
 
   MemorySystem& memory_;
   ThpService* thp_;
   HugetlbPool* hugetlb_;
   SmpDomain* smp_ = nullptr;
+  // finish()'s jitter parameters, keyed on the exact (mean, stdev) they
+  // were derived from and indexed by service cycles: a node's faults
+  // cycle through a few dozen service costs (buddy split depth, zeroing
+  // under the current bandwidth demand), so the table saves three libm
+  // calls on nearly every fault. Derived state; snapshots skip it.
+  struct JitterParams {
+    double mean = 0.0; // 0 = empty: finish() never caches a mean <= 0
+    double stdev = 0.0;
+    Rng::LognormalParams params{};
+  };
+  std::array<JitterParams, 64> jitter_{};
 };
 
 } // namespace hpmmap::mm

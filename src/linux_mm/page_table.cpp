@@ -206,21 +206,29 @@ Errno PageTable::split_large(Addr vaddr, PtOpStats* stats) {
   return Errno::kOk;
 }
 
-unsigned PageTable::small_count_in_2m(Addr vaddr) const {
-  const Addr base = align_down(vaddr, kLargePageSize);
+std::optional<std::uint32_t> PageTable::leaf_table(Addr vaddr) const {
   std::uint32_t node = kRoot;
-  for (unsigned level = 3; level > 1; --level) {
-    const std::uint64_t e = nodes_[node].slots[index_at(base, level)];
+  for (unsigned level = 3; level > 0; --level) {
+    const std::uint64_t e = nodes_[node].slots[index_at(vaddr, level)];
     if (is_leaf(e) || !has_child(e)) {
-      return 0;
+      return std::nullopt;
     }
     node = child_index(e);
   }
-  const std::uint64_t pd = nodes_[node].slots[index_at(base, 1)];
-  if (is_leaf(pd) || !has_child(pd)) {
-    return 0;
-  }
-  return used_[child_index(pd)];
+  return node;
+}
+
+void PageTable::install_pte(std::uint32_t pt, Addr vaddr, Addr paddr, Prot prot) {
+  std::uint64_t& leaf = nodes_[pt].slots[index_at(vaddr, 0)];
+  HPMMAP_ASSERT(leaf == 0 && is_aligned(paddr, kSmallPageSize), "install_pte over a live PTE");
+  leaf = make_leaf(paddr, prot);
+  ++used_[pt];
+  account_map(PageSize::k4K, static_cast<std::int64_t>(kSmallPageSize));
+}
+
+unsigned PageTable::small_count_in_2m(Addr vaddr) const {
+  const auto pt = leaf_table(vaddr);
+  return pt.has_value() ? used_[*pt] : 0;
 }
 
 bool PageTable::large_leaf_at(Addr vaddr) const {

@@ -84,6 +84,24 @@ class PageTable {
   /// — O(depth), used by khugepaged to pick merge candidates.
   [[nodiscard]] unsigned small_count_in_2m(Addr vaddr) const;
 
+  // --- leaf tables: the first-touch run's handle (DESIGN §9.4) ----------
+  /// Pool index of the last-level table (PT) under the 2M region around
+  /// `vaddr`; nullopt when the region has none (unmapped, or a 2M leaf).
+  /// The index stays valid until a 2M leaf replaces the emptied table.
+  [[nodiscard]] std::optional<std::uint32_t> leaf_table(Addr vaddr) const;
+
+  /// Live 4K leaves in leaf table `pt`.
+  [[nodiscard]] unsigned live_entries(std::uint32_t pt) const noexcept { return used_[pt]; }
+
+  /// Whether the PTE for `vaddr` in leaf table `pt` is populated.
+  [[nodiscard]] bool pte_present(std::uint32_t pt, Addr vaddr) const noexcept {
+    return is_leaf(nodes_[pt].slots[index_at(vaddr, 0)]);
+  }
+
+  /// map() of a 4K page without the walk, for a caller already holding
+  /// its leaf table `pt`. The PTE slot must be empty.
+  void install_pte(std::uint32_t pt, Addr vaddr, Addr paddr, Prot prot);
+
   /// True if a 2M (or larger) leaf already covers `vaddr`.
   [[nodiscard]] bool large_leaf_at(Addr vaddr) const;
 

@@ -71,6 +71,11 @@ class ThpService {
   /// the noise-injection mechanism of Figure 4.
   void note_fallback(AddressSpace* as, Addr vaddr);
 
+  /// The whole fault-path THP verdict for a fault its caller already
+  /// knows is ineligible and queued (a first-touch run, DESIGN §9.4):
+  /// count the fallback that try_fault_huge() would have counted.
+  void count_known_fallback() noexcept { ++stats_.fault_huge_fallback; }
+
   // --- khugepaged ----------------------------------------------------------
   /// Begin periodic scanning on the simulation clock.
   void start_khugepaged(double clock_hz);

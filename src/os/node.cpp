@@ -543,10 +543,17 @@ Cycles Node::touch_range(Process& proc, Range range, std::int32_t core) {
   const std::int32_t c = core >= 0 ? core : proc.core();
   const bool is_hpmmap_addr =
       module_ != nullptr && module_->handles(proc.pid()) && core::HpmmapModule::in_window(range.begin);
+  // Pages after the first 4K install in a 2 MiB region skip the region
+  // lookups the run already holds (DESIGN §9.4); so does the PTE test.
+  mm::FaultRun run;
   Addr va = align_down(range.begin, kSmallPageSize);
   while (va < range.end) {
-    const auto t = as.page_table().walk(va);
-    if (t.has_value()) {
+    if (run.covers(va)) {
+      if (run.pte_mapped(as, va)) {
+        va += kSmallPageSize;
+        continue;
+      }
+    } else if (const auto t = as.page_table().walk(va); t.has_value()) {
       va = align_down(va, bytes(t->size)) + bytes(t->size);
       continue;
     }
@@ -563,13 +570,13 @@ Cycles Node::touch_range(Process& proc, Range range, std::int32_t core) {
       // (stamping discipline, linux_mm/smp.hpp).
       const Cycles t0 = engine_.now() + work;
       const Cycles sem_wait = smp_->mmap_sem_read_enter(proc.pid(), t0, c);
-      fr = fault_handler_->handle(as, va, t0, c);
+      fr = fault_handler_->handle(as, va, t0, c, &run);
       fr.lock_wait += sem_wait;
       fr.cost += sem_wait;
       smp_->mmap_sem_read_exit(proc.pid(), engine_.now() + cost + fr.cost);
       work += fr.cost - fr.lock_wait;
     } else {
-      fr = fault_handler_->handle(as, va, engine_.now() + cost, c);
+      fr = fault_handler_->handle(as, va, engine_.now() + cost, c, &run);
     }
     proc.record_fault(engine_.now() + cost, fr.kind, fr.cost);
     cost += fr.cost;

@@ -92,7 +92,9 @@ class Reader {
 
  private:
   const char* take(std::uint64_t n) {
-    HPMMAP_ASSERT(pos_ + n <= buf_.size(), "snapshot: truncated image file");
+    // n <= size - pos, not pos + n <= size: a length near 2^64 read from
+    // a corrupt file would wrap the sum past the check.
+    HPMMAP_ASSERT(n <= buf_.size() - pos_, "snapshot: truncated image file");
     const char* p = buf_.data() + pos_;
     pos_ += static_cast<std::size_t>(n);
     return p;

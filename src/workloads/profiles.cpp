@@ -16,8 +16,7 @@ Cycles per_iter(double clock_hz, double seconds) {
 } // namespace
 
 AppProfile hpccg(double clock_hz) {
-  AppProfile p;
-  p.name = "HPCCG";
+  AppProfile p{.name = "HPCCG"};
   p.bytes_per_rank = 1392 * MiB; // weak scaling: 8 ranks + misc ~= 11.5 GB (fits the 12 GB pools)
   p.misc_bytes = 48 * MiB;
   p.stack_bytes = 1 * MiB;
@@ -34,8 +33,7 @@ AppProfile hpccg(double clock_hz) {
 }
 
 AppProfile comd(double clock_hz) {
-  AppProfile p;
-  p.name = "CoMD";
+  AppProfile p{.name = "CoMD"};
   p.bytes_per_rank = 1376 * MiB;
   p.misc_bytes = 64 * MiB;
   p.stack_bytes = 1 * MiB;
@@ -52,8 +50,7 @@ AppProfile comd(double clock_hz) {
 }
 
 AppProfile minimd(double clock_hz) {
-  AppProfile p;
-  p.name = "miniMD";
+  AppProfile p{.name = "miniMD"};
   p.bytes_per_rank = 1344 * MiB;
   p.misc_bytes = 56 * MiB;
   p.stack_bytes = 1 * MiB;
@@ -70,8 +67,7 @@ AppProfile minimd(double clock_hz) {
 }
 
 AppProfile minife(double clock_hz) {
-  AppProfile p;
-  p.name = "miniFE";
+  AppProfile p{.name = "miniFE"};
   p.bytes_per_rank = 1392 * MiB;
   p.misc_bytes = 64 * MiB;
   p.stack_bytes = 1 * MiB;
@@ -88,8 +84,7 @@ AppProfile minife(double clock_hz) {
 }
 
 AppProfile lammps(double clock_hz) {
-  AppProfile p;
-  p.name = "LAMMPS";
+  AppProfile p{.name = "LAMMPS"};
   p.bytes_per_rank = 1280 * MiB;
   p.misc_bytes = 96 * MiB;
   p.stack_bytes = 2 * MiB;
@@ -140,45 +135,25 @@ AppProfile profile_by_name(const std::string& app_name, double clock_hz) {
 CommodityProfile profile_a(std::uint32_t app_cores) {
   // §IV-B: one parallel kernel build on 8 cores, limited to 4 when the
   // app itself uses 8 "so as to not overcommit the cores".
-  CommodityProfile c;
-  c.name = "A";
-  c.builds = 1;
-  c.jobs_per_build = app_cores >= 8 ? 4 : 8;
-  return c;
+  return CommodityProfile{.name = "A", .builds = 1, .jobs_per_build = app_cores >= 8 ? 4u : 8u};
 }
 
 CommodityProfile profile_b(std::uint32_t app_cores) {
   // §IV-B: profile A plus a duplicate build — this one *does* overcommit.
-  CommodityProfile c;
-  c.name = "B";
-  c.builds = 2;
-  c.jobs_per_build = app_cores >= 8 ? 4 : 8;
-  return c;
+  return CommodityProfile{.name = "B", .builds = 2, .jobs_per_build = app_cores >= 8 ? 4u : 8u};
 }
 
 CommodityProfile profile_c() {
   // §IV-C: one build consuming the remaining 4 cores of each node.
-  CommodityProfile c;
-  c.name = "C";
-  c.builds = 1;
-  c.jobs_per_build = 4;
-  return c;
+  return CommodityProfile{.name = "C", .builds = 1, .jobs_per_build = 4};
 }
 
 CommodityProfile profile_d() {
-  CommodityProfile c;
-  c.name = "D";
-  c.builds = 2;
-  c.jobs_per_build = 4;
-  return c;
+  return CommodityProfile{.name = "D", .builds = 2, .jobs_per_build = 4};
 }
 
 CommodityProfile no_competition() {
-  CommodityProfile c;
-  c.name = "none";
-  c.builds = 0;
-  c.jobs_per_build = 0;
-  return c;
+  return CommodityProfile{.name = "none", .builds = 0, .jobs_per_build = 0};
 }
 
 } // namespace hpmmap::workloads

@@ -1,6 +1,13 @@
 // Unit tests: demand-paging fault handler, THP (fault path, khugepaged,
-// mlock splitting), HugeTLBfs pools, and the swap path.
+// mlock splitting), HugeTLBfs pools, the swap path, and first-touch runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -11,6 +18,7 @@
 #include "linux_mm/fault.hpp"
 #include "linux_mm/hugetlbfs.hpp"
 #include "linux_mm/memory_system.hpp"
+#include "linux_mm/smp.hpp"
 #include "linux_mm/thp.hpp"
 #include "sim/engine.hpp"
 
@@ -352,6 +360,336 @@ TEST(Hugetlb, PoolMemoryIsLoadInsensitive) {
   }
   EXPECT_LT(loaded.mean(), idle.mean() * 8.0); // grows, but no reclaim blowup
   EXPECT_GT(loaded.mean(), idle.mean());       // and it does share the channel
+}
+
+// --- first-touch runs (DESIGN.md §9.4) ---------------------------------------
+//
+// A caller faulting a range in address order hands one FaultRun to every
+// handle() call; pages after a region's first 4K install then skip the
+// VMA lookup, the page-table walks and the THP attempt. The contract is
+// that nothing observable changes. Each case builds two identical worlds
+// and faults the same range through the run-carrying loop (the shape of
+// Node::touch_range) and through a plain per-page loop of walk, then
+// handle(as, va, t0 + accumulated cost), and compares everything.
+
+struct RunWorldSpec {
+  bool thp = true;
+  bool hugetlb = false;
+  std::optional<SmpConfig> smp{};
+  bool fragment = false; // no free order >= 1 blocks: THP faults fall back
+};
+
+struct RunWorld {
+  hw::PhysicalMemory phys{1 * GiB, 2};
+  hw::BandwidthModel bw{2, 5.6};
+  CostModel costs{};
+  MemorySystem ms{phys, bw, Rng(21), costs};
+  sim::Engine engine;
+  std::unique_ptr<ThpService> thp;
+  std::unique_ptr<HugetlbPool> hugetlb;
+  std::unique_ptr<SmpDomain> smp;
+  std::unique_ptr<FaultHandler> handler;
+  AddressSpace as{7};
+
+  explicit RunWorld(const RunWorldSpec& spec) {
+    as.set_zone_policy(AddressSpace::ZonePolicy::kInterleave, 0, 2);
+    if (spec.thp) {
+      thp = std::make_unique<ThpService>(ms, engine, [] { return 1.0; });
+    }
+    if (spec.hugetlb) {
+      hugetlb = std::make_unique<HugetlbPool>(ms, 16 * MiB);
+    }
+    handler = std::make_unique<FaultHandler>(ms, thp.get(), hugetlb.get());
+    if (spec.smp.has_value()) {
+      smp = std::make_unique<SmpDomain>(*spec.smp, costs, ms.zone_count());
+      handler->attach_smp(smp.get());
+    }
+    if (spec.fragment) {
+      // Take every frame, then free every other one: half the memory is
+      // free, none of it in a block THP could use.
+      for (ZoneId z = 0; z < ms.zone_count(); ++z) {
+        std::vector<Addr> held;
+        while (auto a = ms.buddy(z).alloc(0)) {
+          held.push_back(a->addr);
+        }
+        for (std::size_t i = 0; i < held.size(); i += 2) {
+          ms.free_pages(z, held[i], 0);
+        }
+      }
+    }
+  }
+
+  void add_vma(Addr begin, std::uint64_t len, VmaKind kind, bool thp_eligible,
+               Prot prot = kProtRW) {
+    Vma v;
+    v.range = Range{begin, begin + len};
+    v.prot = prot;
+    v.kind = kind;
+    v.thp_eligible = thp_eligible;
+    if (kind == VmaKind::kHugetlb) {
+      v.hugetlb_size = PageSize::k2M;
+    }
+    ASSERT_EQ(as.vmas().insert(v), Errno::kOk);
+  }
+
+  /// What Node::maybe_swap does to one 2M region: evict every 4K page.
+  void evict_region(Addr va) {
+    const Addr base = align_down(va, kLargePageSize);
+    for (Addr p = base; p < base + kLargePageSize; p += kSmallPageSize) {
+      const auto t = as.page_table().walk(p);
+      if (t.has_value() && t->size == PageSize::k4K) {
+        ASSERT_EQ(as.page_table().unmap(p, PageSize::k4K), Errno::kOk);
+        ms.free_pages(phys.zone_of(t->phys), align_down(t->phys, kSmallPageSize), 0);
+        as.mark_swapped(p);
+      }
+    }
+  }
+};
+
+/// Called after each fault with (world, fault index, faulted address).
+using BetweenFaults = std::function<void(RunWorld&, std::size_t, Addr)>;
+
+/// Fault [range) page by page at t0 + accumulated cost. With a run this
+/// is Node::touch_range's loop; without one, the per-page reference.
+std::vector<FaultResult> fault_range(RunWorld& w, Range range, Cycles t0, std::int32_t core,
+                                     FaultRun* run, const BetweenFaults& between) {
+  std::vector<FaultResult> out;
+  Cycles cost = 0;
+  Addr va = range.begin;
+  while (va < range.end) {
+    if (run != nullptr && run->covers(va)) {
+      if (run->pte_mapped(w.as, va)) {
+        va += kSmallPageSize;
+        continue;
+      }
+    } else if (const auto t = w.as.page_table().walk(va); t.has_value()) {
+      va = align_down(va, bytes(t->size)) + bytes(t->size);
+      continue;
+    }
+    const FaultResult fr = w.handler->handle(w.as, va, t0 + cost, core, run);
+    out.push_back(fr);
+    cost += fr.cost;
+    if (between) {
+      between(w, out.size(), va);
+    }
+    va = fr.err != Errno::kOk ? va + kSmallPageSize
+                              : align_down(va, bytes(fr.used)) + bytes(fr.used);
+  }
+  return out;
+}
+
+void expect_same_world(RunWorld& a, RunWorld& b, const std::vector<FaultResult>& ra,
+                       const std::vector<FaultResult>& rb) {
+  ASSERT_EQ(ra.size(), rb.size());
+  FaultStats sa;
+  FaultStats sb;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].err, rb[i].err) << "fault " << i;
+    EXPECT_EQ(ra[i].kind, rb[i].kind) << "fault " << i;
+    EXPECT_EQ(ra[i].used, rb[i].used) << "fault " << i;
+    EXPECT_EQ(ra[i].cost, rb[i].cost) << "fault " << i;
+    EXPECT_EQ(ra[i].lock_wait, rb[i].lock_wait) << "fault " << i;
+    EXPECT_EQ(ra[i].entered_reclaim, rb[i].entered_reclaim) << "fault " << i;
+    sa.record(ra[i].kind, ra[i].cost);
+    sb.record(rb[i].kind, rb[i].cost);
+  }
+  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+    EXPECT_EQ(sa.count[k], sb.count[k]);
+    EXPECT_EQ(sa.total_cycles[k], sb.total_cycles[k]);
+  }
+  const auto leaves = [](const AddressSpace& as) {
+    std::vector<std::tuple<Addr, Addr, PageSize, Prot>> v;
+    as.page_table().for_each_leaf(
+        [&](Addr va, const Translation& t) { v.emplace_back(va, t.phys, t.size, t.prot); });
+    return v;
+  };
+  EXPECT_EQ(leaves(a.as), leaves(b.as));
+  EXPECT_EQ(a.as.mapping_mix().bytes_4k, b.as.mapping_mix().bytes_4k);
+  EXPECT_EQ(a.as.mapping_mix().bytes_2m, b.as.mapping_mix().bytes_2m);
+  EXPECT_EQ(a.as.page_table().table_pages(), b.as.page_table().table_pages());
+  EXPECT_EQ(a.as.swapped_set(), b.as.swapped_set());
+  for (ZoneId z = 0; z < a.ms.zone_count(); ++z) {
+    EXPECT_EQ(a.ms.buddy(z).free_bytes(), b.ms.buddy(z).free_bytes());
+    const auto blocks = [](const BuddyAllocator& buddy) {
+      std::vector<std::pair<Addr, unsigned>> v;
+      buddy.for_each_free_block([&](Addr addr, unsigned order) { v.emplace_back(addr, order); });
+      return v;
+    };
+    EXPECT_EQ(blocks(a.ms.buddy(z)), blocks(b.ms.buddy(z)));
+  }
+  ASSERT_EQ(a.thp == nullptr, b.thp == nullptr);
+  if (a.thp != nullptr) {
+    const ThpStats& ta = a.thp->stats();
+    const ThpStats& tb = b.thp->stats();
+    EXPECT_EQ(ta.fault_huge_success, tb.fault_huge_success);
+    EXPECT_EQ(ta.fault_huge_fallback, tb.fault_huge_fallback);
+  }
+  if (a.hugetlb != nullptr) {
+    EXPECT_EQ(a.hugetlb->stats().faults_served, b.hugetlb->stats().faults_served);
+  }
+  EXPECT_EQ(a.engine.pending_events(), b.engine.pending_events()); // khugepaged wakes
+  EXPECT_EQ(a.ms.rng().next_u64(), b.ms.rng().next_u64());
+}
+
+/// Build both worlds with `setup`, fault `range` through each loop, and
+/// compare. Returns the run-carrying side's results for extra checks.
+std::vector<FaultResult> expect_run_matches_per_page(
+    const RunWorldSpec& spec, const std::function<void(RunWorld&)>& setup, Range range,
+    Cycles t0 = 0, std::int32_t core = -1, const BetweenFaults& between = {}) {
+  RunWorld with_run(spec);
+  RunWorld per_page(spec);
+  setup(with_run);
+  setup(per_page);
+  FaultRun run;
+  const auto ra = fault_range(with_run, range, t0, core, &run, between);
+  const auto rb = fault_range(per_page, range, t0, core, nullptr, between);
+  expect_same_world(with_run, per_page, ra, rb);
+  return ra;
+}
+
+std::size_t count_kind(const std::vector<FaultResult>& rs, FaultKind kind, PageSize used) {
+  return static_cast<std::size_t>(std::count_if(rs.begin(), rs.end(), [&](const FaultResult& r) {
+    return r.err == Errno::kOk && r.kind == kind && r.used == used;
+  }));
+}
+
+constexpr Addr kRunVa = 0x6000'0000'0000ull; // 2M-aligned
+
+TEST(FaultRun, ThpFallbackRunsMatchPerPageFaults) {
+  // THP on, eligible VMA, no order-9 block anywhere: every region falls
+  // back page by page, and khugepaged is queued once per region. Some
+  // pages are already mapped or were swapped out before the touch.
+  RunWorldSpec spec;
+  spec.fragment = true;
+  const auto rs = expect_run_matches_per_page(
+      spec,
+      [](RunWorld& w) {
+        w.add_vma(kRunVa, 6 * MiB, VmaKind::kAnon, true);
+        (void)w.handler->handle(w.as, kRunVa + 2 * MiB + 40 * KiB, 0);
+        (void)w.handler->handle(w.as, kRunVa + 2 * MiB + 44 * KiB, 0);
+        for (const Addr off : {8 * KiB, 12 * KiB, 2 * MiB + 4 * KiB, 5 * MiB + 400 * KiB}) {
+          w.as.mark_swapped(kRunVa + off);
+        }
+      },
+      Range{kRunVa, kRunVa + 6 * MiB});
+  EXPECT_EQ(count_kind(rs, FaultKind::kSmall, PageSize::k4K), 3 * 512u - 2);
+}
+
+TEST(FaultRun, ThpOffRunsMatchPerPageFaults) {
+  RunWorldSpec spec;
+  spec.thp = false;
+  const auto rs = expect_run_matches_per_page(
+      spec,
+      [](RunWorld& w) {
+        w.add_vma(kRunVa, 4 * MiB, VmaKind::kAnon, false);
+        w.as.mark_swapped(kRunVa + 3 * MiB);
+      },
+      Range{kRunVa + 1 * MiB, kRunVa + 4 * MiB});
+  EXPECT_EQ(rs.size(), 768u);
+}
+
+TEST(FaultRun, VmaEndingMidRegionAndHugeFaultsMatch) {
+  // Pristine memory: aligned, fully covered regions take 2M faults. The
+  // unaligned head and the tail that ends 1M into a region fault 4K, and
+  // the next, read-only VMA starts in that same region (the run must stop
+  // at the VMA end, not the 2M boundary, or its PTEs get the wrong prot).
+  RunWorldSpec spec;
+  const auto rs = expect_run_matches_per_page(
+      spec,
+      [](RunWorld& w) {
+        w.add_vma(kRunVa + 64 * KiB, 5 * MiB - 64 * KiB, VmaKind::kAnon, true);
+        w.add_vma(kRunVa + 5 * MiB, 1 * MiB, VmaKind::kAnon, false, Prot::kRead);
+      },
+      Range{kRunVa + 64 * KiB, kRunVa + 6 * MiB});
+  EXPECT_EQ(count_kind(rs, FaultKind::kLarge, PageSize::k2M), 1u);
+  EXPECT_EQ(count_kind(rs, FaultKind::kSmall, PageSize::k4K), 496u + 256u + 256u);
+}
+
+TEST(FaultRun, MergeLockHeldAcrossTheRunMatches) {
+  // khugepaged holds the PT lock when the range is first touched, and
+  // again from inside two runs: the faults that queue behind it wait and
+  // count as merge followers, the rest do not.
+  RunWorldSpec spec;
+  spec.fragment = true;
+  const Cycles t0 = 1'000'000;
+  const auto rs = expect_run_matches_per_page(
+      spec,
+      [&](RunWorld& w) {
+        w.add_vma(kRunVa, 4 * MiB, VmaKind::kAnon, true);
+        w.as.lock_until(t0 + 600'000);
+      },
+      Range{kRunVa, kRunVa + 4 * MiB}, t0, -1, [&](RunWorld& w, std::size_t n, Addr) {
+        if (n == 10 || n == 700) {
+          w.as.lock_until(t0 + n * 40'000'000);
+        }
+      });
+  EXPECT_EQ(count_kind(rs, FaultKind::kMergeFollower, PageSize::k4K), 3u);
+  EXPECT_GT(count_kind(rs, FaultKind::kSmall, PageSize::k4K), 0u);
+}
+
+TEST(FaultRun, EvictingTheRunsRegionReopensItForThp) {
+  // Reclaim evicts every 4K page of the region being faulted (what
+  // Node::maybe_swap does under direct reclaim). The PT's live count
+  // drops to 0, the region is THP-eligible again, and the next fault
+  // there installs a 2M page over the emptied table.
+  RunWorldSpec spec;
+  const auto rs = expect_run_matches_per_page(
+      spec,
+      [](RunWorld& w) {
+        w.add_vma(kRunVa, 4 * MiB, VmaKind::kAnon, true);
+        // A stray 4K page makes both regions ineligible at first.
+        for (const Addr stray : {kRunVa + 1 * MiB, kRunVa + 3 * MiB}) {
+          const auto frame = w.ms.buddy(0).alloc(0);
+          ASSERT_TRUE(frame.has_value());
+          ASSERT_EQ(w.as.page_table().map(stray, frame->addr, PageSize::k4K, kProtRW), Errno::kOk);
+        }
+      },
+      Range{kRunVa, kRunVa + 4 * MiB}, 0, -1, [](RunWorld& w, std::size_t n, Addr va) {
+        if (n == 20 || n == 40) {
+          w.evict_region(va);
+        }
+      });
+  EXPECT_EQ(count_kind(rs, FaultKind::kLarge, PageSize::k2M), 2u);
+}
+
+TEST(FaultRun, HugetlbVmaNeverOpensARun) {
+  RunWorldSpec spec;
+  spec.thp = false;
+  spec.hugetlb = true;
+  const auto rs = expect_run_matches_per_page(
+      spec,
+      [](RunWorld& w) {
+        w.add_vma(kRunVa, 4 * MiB, VmaKind::kHugetlb, false);
+        w.add_vma(kRunVa + 4 * MiB, 1 * MiB, VmaKind::kAnon, false);
+      },
+      Range{kRunVa, kRunVa + 5 * MiB});
+  EXPECT_EQ(count_kind(rs, FaultKind::kLarge, PageSize::k2M), 2u);
+  EXPECT_EQ(count_kind(rs, FaultKind::kSmall, PageSize::k4K), 256u);
+}
+
+TEST(FaultRun, SmpDomainRunsMatchPerPageFaults) {
+  // With an SmpDomain attached the per-page body executes pcp refills,
+  // zone locks and PT-shard locks on the virtual clock; a run must issue
+  // exactly the same acquisitions at exactly the same stamps.
+  for (const bool sharded : {true, false}) {
+    RunWorldSpec spec;
+    spec.fragment = true;
+    SmpConfig smp;
+    smp.cores = 4;
+    smp.sharded_pt_locks = sharded;
+    spec.smp = smp;
+    const auto rs = expect_run_matches_per_page(
+        spec,
+        [](RunWorld& w) {
+          w.add_vma(kRunVa, 4 * MiB, VmaKind::kAnon, true);
+          // Another core holds this mm's PT lock / shard for a while.
+          (void)w.smp->pt_lock(w.as.pid(), kRunVa, 0, 400'000, 2);
+        },
+        Range{kRunVa, kRunVa + 4 * MiB}, 0, /*core=*/1);
+    EXPECT_EQ(rs.size(), 1024u);
+    EXPECT_TRUE(
+        std::any_of(rs.begin(), rs.end(), [](const FaultResult& r) { return r.lock_wait > 0; }));
+  }
 }
 
 } // namespace

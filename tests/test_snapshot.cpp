@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -288,6 +289,33 @@ TEST(SnapshotNode, SaveLoadRoundTripsTheImageFile) {
   EXPECT_EQ(introspect::procfs_dump(node2), introspect::procfs_dump(node));
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(SnapshotNodeDeathTest, HugeStringLengthIsATruncatedImageNotAnOutOfBoundsRead) {
+  sim::Engine engine;
+  os::Node node(engine, node_config(23, /*aged=*/false));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hpmmap_test_snapshot_overflow.img").string();
+  snapshot::save(snapshot::capture_world(engine, {&node}), path);
+
+  // Layout: u32 magic, u32 version, u64 fingerprint count, then the first
+  // key's u64 length. A length of 2^64-1 used to wrap the bounds check.
+  std::string bytes = file_bytes(path);
+  ASSERT_GT(bytes.size(), 24u);
+  ASSERT_NE(bytes.substr(8, 8), std::string(8, '\0')) << "fingerprint must have a key";
+  bytes.replace(16, 8, std::string(8, '\xff'));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  EXPECT_DEATH((void)snapshot::load(path), "truncated image file");
+  std::remove(path.c_str());
+}
+
 // --- per-CPU SMP state ------------------------------------------------------
 //
 // An SmpDomain's state is all release stamps and per-CPU frame lists; a
@@ -330,12 +358,6 @@ void smp_churn_round(os::Node& node, os::Process& p, std::vector<Addr>& slabs, i
     (void)node.sys_munmap(p, victim, 4 * MiB, (round + 1) % 4);
     slabs.erase(slabs.end() - 2);
   }
-}
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 TEST(SnapshotSmp, MidContentionCaptureRoundTripsByteIdentical) {
