@@ -113,7 +113,8 @@ using namespace hpmmap;
       "  --snapshot-in FILE   (single node) skip aging: restore FILE and run one\n"
       "                   measurement phase from it. The config must match the\n"
       "                   capturing one except --app/--cores/--duration; the\n"
-      "                   result is byte-identical to the straight run\n"
+      "                   result is byte-identical to the straight run. A\n"
+      "                   corrupt, truncated or mismatched image exits 1\n"
       "  --audit          run the mm invariant auditor at run end and print its report\n"
       "  --audit-on-fire  with --inject: also audit at every injection instant\n"
       "  --inject SPEC    arm fault injection; SPEC is comma-separated entries\n"
@@ -803,9 +804,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cfg.trace.on() || verifying || !snapshot_in.empty()) {
-    const harness::RunResult r =
-        snapshot_in.empty() ? harness::run_single_node(cfg)
-                            : harness::run_single_node(cfg, snapshot::load(snapshot_in));
+    harness::RunResult r;
+    try {
+      r = snapshot_in.empty() ? harness::run_single_node(cfg)
+                              : harness::run_single_node(cfg, snapshot::load(snapshot_in));
+    } catch (const snapshot::LoadError& e) {
+      std::fprintf(stderr, "%s: %s\n", snapshot_in.c_str(), e.what());
+      return 1;
+    }
     perf.add_events(r.events_fired);
     perf.add_faults(r.faults);
     std::printf("runtime: %.2f s\n", r.runtime_seconds);

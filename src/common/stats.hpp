@@ -5,10 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace hpmmap::snapshot {
-struct Access;
-}
-
 namespace hpmmap {
 
 /// Welford's online mean/variance. Numerically stable for the cycle-count
@@ -29,8 +25,6 @@ class RunningStats {
   [[nodiscard]] double sum() const noexcept { return sum_; }
 
  private:
-  friend struct hpmmap::snapshot::Access;
-
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -81,8 +75,6 @@ class P2Quantile {
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
 
  private:
-  friend struct hpmmap::snapshot::Access;
-
   double q_;
   std::uint64_t n_ = 0;
   double heights_[5] = {};       // marker heights

@@ -1,21 +1,32 @@
-// Capture/restore implementation. snapshot::Access is the single friend
-// every mm/os/sim class grants; all private-state traffic lives here.
+// Capture, restore and the image file. snapshot::Access is the single
+// friend every mm/os/sim class grants; each structure's fields are listed
+// once, in its io() walker, which Save runs for capture_world() and Load
+// for restore_world() (DESIGN.md §12.1).
 //
 // Restore runs against a freshly booted world (same config, aged_boot
 // off, builds constructed but not started) and overwrites it: the only
 // state *not* overwritten is what boot derives deterministically from
 // the configuration (PhysicalMemory section ownership, cost model, TLB
-// geometry) — the module's offlined ranges are asserted equal rather
-// than copied, which is the cheap cross-check that the fresh boot really
-// did reproduce the captured topology.
+// geometry). Layout facts the fresh boot already holds — zone extents,
+// order counts, the module's offlined ranges — go through ar.expect():
+// written on capture, compared on restore, which is the cheap
+// cross-check that the fresh boot really did reproduce the captured
+// topology.
 
 #include "snapshot/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
-#include <optional>
+#include <deque>
+#include <fstream>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -38,39 +49,34 @@
 #include "os/scheduler.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_callback.hpp"
+#include "snapshot/archive.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "verify/fault_inject.hpp"
 #include "workloads/kernel_build.hpp"
 
 namespace hpmmap::snapshot {
+namespace {
+
+constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
+constexpr std::uint32_t kVersion = 4; // v4: one payload framed by length + digest
+
+/// Loaded trace strings live until process exit; std::set node stability
+/// keeps every handed-out c_str() valid as the pool grows.
+const char* intern(const std::string& s) {
+  if (s.empty()) {
+    return nullptr;
+  }
+  static std::mutex mu;
+  static auto* pool = new std::set<std::string>();
+  const std::lock_guard<std::mutex> lock(mu);
+  return pool->insert(s).first->c_str();
+}
+
+} // namespace
 
 struct Access {
   // --- engine primitives -------------------------------------------------
-
-  struct EventInfo {
-    Cycles when = 0;
-    std::uint64_t seq = 0;
-    bool daemon = false;
-  };
-
-  /// (when, seq, daemon) of a live armed event, or nullopt for a stale
-  /// handle (fired or cancelled since it was stored).
-  static std::optional<EventInfo> event_info(const sim::Engine& e, sim::EventId id) {
-    if (!id.valid()) {
-      return std::nullopt;
-    }
-    const std::uint32_t slot = id.slot - 1;
-    if (slot >= e.slots_.size() || e.slots_[slot].gen != id.gen) {
-      return std::nullopt;
-    }
-    for (const sim::Engine::Entry& entry : e.heap_) {
-      if (entry.slot == slot && entry.gen == id.gen) {
-        return EventInfo{entry.when, entry.seq, e.slots_[slot].daemon};
-      }
-    }
-    return std::nullopt;
-  }
 
   static void clear_events(sim::Engine& e) {
     e.heap_.clear();
@@ -81,7 +87,7 @@ struct Access {
   }
 
   /// schedule_entry() with an explicit sequence number and without
-  /// advancing next_seq_: re-arms a captured event so it fires at its
+  /// advancing next_seq: re-arms a captured event so it fires at its
   /// original position in the global order.
   template <typename F>
   static sim::EventId schedule_raw(sim::Engine& e, Cycles when, std::uint64_t seq,
@@ -110,9 +116,9 @@ struct Access {
 
   // --- fingerprint --------------------------------------------------------
 
-  static std::vector<std::pair<std::string, std::uint64_t>>
-  fingerprint(const std::vector<os::Node*>& nodes, const std::vector<BuildRef>& builds) {
-    std::vector<std::pair<std::string, std::uint64_t>> fp;
+  static Fingerprint fingerprint(const std::vector<os::Node*>& nodes,
+                                 const std::vector<BuildRef>& builds) {
+    Fingerprint fp;
     fp.emplace_back("nodes", nodes.size());
     fp.emplace_back("builds", builds.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -141,617 +147,338 @@ struct Access {
     return fp;
   }
 
-  // --- capture: hw / linux_mm ---------------------------------------------
+  // --- pointers as pids ---------------------------------------------------
 
-  static MemMapImage capture_mem_map(const hw::MemMap& m) {
-    MemMapImage img;
-    img.range = m.range_;
-    img.meta = m.meta_;
-    img.slot_key.reserve(m.slots_.size());
-    img.slot_next.reserve(m.slots_.size());
-    img.slot_prev.reserve(m.slots_.size());
-    for (const hw::MemMap::Slot& s : m.slots_) {
-      img.slot_key.push_back(s.key);
-      img.slot_next.push_back(s.link.next);
-      img.slot_prev.push_back(s.link.prev);
-    }
-    img.link_count = m.link_count_;
-    return img;
-  }
-
-  static void restore_mem_map(const MemMapImage& img, hw::MemMap& m) {
-    HPMMAP_ASSERT(m.range_ == img.range, "snapshot: mem_map range mismatch");
-    m.meta_ = img.meta;
-    m.slots_.assign(img.slot_key.size(), hw::MemMap::Slot{});
-    for (std::size_t i = 0; i < img.slot_key.size(); ++i) {
-      m.slots_[i].key = img.slot_key[i];
-      m.slots_[i].link.next = img.slot_next[i];
-      m.slots_[i].link.prev = img.slot_prev[i];
-    }
-    m.link_count_ = img.link_count;
-  }
-
-  static BuddyImage capture_buddy(const mm::BuddyAllocator& b) {
-    BuddyImage img;
-    img.range = b.range_;
-    img.max_order = b.max_order_;
-    img.free_bytes = b.free_bytes_;
-    img.lists.reserve(b.lists_.size());
-    for (const mm::BuddyAllocator::OrderList& l : b.lists_) {
-      img.lists.push_back(OrderListImage{l.bits, l.summary, l.count, l.scan_hint});
-    }
-    img.map = capture_mem_map(b.map_);
-    for (const auto& [addr, order] : b.corrupt_blocks_) {
-      img.corrupt_blocks.push_back(CorruptBlockImage{addr, order});
-    }
-    img.stats = b.stats_;
-    return img;
-  }
-
-  static void restore_buddy(const BuddyImage& img, mm::BuddyAllocator& b) {
-    HPMMAP_ASSERT(b.range_ == img.range && b.max_order_ == img.max_order,
-                  "snapshot: buddy layout mismatch");
-    b.free_bytes_ = img.free_bytes;
-    HPMMAP_ASSERT(b.lists_.size() == img.lists.size(), "snapshot: buddy order count mismatch");
-    for (std::size_t o = 0; o < img.lists.size(); ++o) {
-      b.lists_[o].bits = img.lists[o].bits;
-      b.lists_[o].summary = img.lists[o].summary;
-      b.lists_[o].count = img.lists[o].count;
-      b.lists_[o].scan_hint = static_cast<std::size_t>(img.lists[o].scan_hint);
-    }
-    restore_mem_map(img.map, b.map_);
-    b.corrupt_blocks_.clear();
-    for (const CorruptBlockImage& c : img.corrupt_blocks) {
-      b.corrupt_blocks_.emplace_back(c.addr, c.order);
-    }
-    b.stats_ = img.stats;
-  }
-
-  static CacheImage capture_cache(const mm::PageCache& c) {
-    return CacheImage{c.head_, c.tail_, c.count_, c.cached_bytes_,
-                      c.free_floor_, c.dirty_fraction_, c.grow_count_};
-  }
-
-  static void restore_cache(const CacheImage& img, mm::PageCache& c) {
-    c.head_ = img.head;
-    c.tail_ = img.tail;
-    c.count_ = static_cast<std::size_t>(img.count);
-    c.cached_bytes_ = img.cached_bytes;
-    c.free_floor_ = img.free_floor;
-    c.dirty_fraction_ = img.dirty_fraction;
-    c.grow_count_ = img.grow_count;
-  }
-
-  static MemoryImage capture_memory(const mm::MemorySystem& ms) {
-    MemoryImage img;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(ms.rng_);
-    for (const mm::MemorySystem::ZoneState& z : ms.zones_) {
-      ZoneImage zi;
-      zi.buddy = capture_buddy(z.buddy);
-      zi.cache = capture_cache(z.cache);
-      zi.online_bytes = z.online_bytes;
-      zi.compact_cursor = z.compact_cursor;
-      zi.compact_defer = z.compact_defer;
-      img.zones.push_back(std::move(zi));
-    }
-    return img;
-  }
-
-  static void restore_memory(const MemoryImage& img, mm::MemorySystem& ms) {
-    ms.rng_ = std::bit_cast<Rng>(img.rng);
-    HPMMAP_ASSERT(ms.zones_.size() == img.zones.size(), "snapshot: zone count mismatch");
-    std::size_t zi = 0;
-    for (mm::MemorySystem::ZoneState& z : ms.zones_) {
-      const ZoneImage& img_z = img.zones[zi++];
-      restore_buddy(img_z.buddy, z.buddy);
-      restore_cache(img_z.cache, z.cache);
-      z.online_bytes = img_z.online_bytes;
-      z.compact_cursor = img_z.compact_cursor;
-      z.compact_defer = img_z.compact_defer;
-    }
-  }
-
-  static HugetlbImage capture_hugetlb(const mm::HugetlbPool& h) {
-    HugetlbImage img;
-    for (const mm::HugetlbPool::ZonePool& zp : h.pool_) {
-      img.pool.push_back(HugetlbZonePoolImage{zp.head, zp.count});
-    }
-    img.total = h.total_;
-    img.stats = h.stats_;
-    return img;
-  }
-
-  static void restore_hugetlb(const HugetlbImage& img, mm::HugetlbPool& h) {
-    HPMMAP_ASSERT(h.pool_.size() == img.pool.size(), "snapshot: hugetlb zone count mismatch");
-    for (std::size_t z = 0; z < img.pool.size(); ++z) {
-      h.pool_[z].head = img.pool[z].head;
-      h.pool_[z].count = img.pool[z].count;
-    }
-    h.total_ = img.total;
-    h.stats_ = img.stats;
-  }
-
-  // --- capture: address spaces ---------------------------------------------
-
-  static PageTableImage capture_page_table(const mm::PageTable& pt) {
-    PageTableImage img;
-    img.slots.reserve(pt.nodes_.size() * mm::PageTable::kFanout);
-    for (const mm::PageTable::Node& n : pt.nodes_) {
-      img.slots.insert(img.slots.end(), n.slots.begin(), n.slots.end());
-    }
-    img.used = pt.used_;
-    img.free_nodes = pt.free_nodes_;
-    img.mix = pt.mix_;
-    img.table_pages = pt.table_pages_;
-    return img;
-  }
-
-  static void restore_page_table(const PageTableImage& img, mm::PageTable& pt) {
-    HPMMAP_ASSERT(img.slots.size() % mm::PageTable::kFanout == 0,
-                  "snapshot: page-table image not node-aligned");
-    pt.nodes_.clear();
-    const std::size_t node_count = img.slots.size() / mm::PageTable::kFanout;
-    for (std::size_t i = 0; i < node_count; ++i) {
-      mm::PageTable::Node n;
-      std::memcpy(n.slots.data(), img.slots.data() + i * mm::PageTable::kFanout,
-                  sizeof(n.slots));
-      pt.nodes_.push_back(n);
-    }
-    pt.used_ = img.used;
-    pt.free_nodes_ = img.free_nodes;
-    pt.mix_ = img.mix;
-    pt.table_pages_ = img.table_pages;
-  }
-
-  static std::vector<mm::Vma> capture_vmas(const mm::VmaTree& tree) {
-    std::vector<mm::Vma> out;
-    tree.for_each([&](const mm::Vma& v) { out.push_back(v); });
-    return out;
-  }
-
-  /// Re-inserting the captured (maximally merged, disjoint) VMAs in
-  /// ascending order reproduces the tree byte-identically: insert() only
-  /// merges adjacent *compatible* VMAs, and a consistent tree has none.
-  static void restore_vmas(const std::vector<mm::Vma>& vmas, mm::VmaTree& tree) {
-    tree.remove(Range{0, ~Addr{0}});
-    for (const mm::Vma& v : vmas) {
-      const Errno err = tree.insert(v);
-      HPMMAP_ASSERT(err == Errno::kOk, "snapshot: VMA re-insert failed");
-    }
-  }
-
-  static AddressSpaceImage capture_address_space(const mm::AddressSpace& as) {
-    AddressSpaceImage img;
-    img.pid = as.pid_;
-    img.vmas = capture_vmas(as.vmas_);
-    img.pt = capture_page_table(as.pt_);
-    img.heap_base = as.heap_base_;
-    img.heap_end = as.heap_end_;
-    img.locked_until = as.locked_until_;
-    img.swapped.assign(as.swapped_out_.begin(), as.swapped_out_.end());
-    img.zone_policy = static_cast<std::uint8_t>(as.zone_policy_);
-    img.home_zone = as.home_zone_;
-    img.zone_count = as.zone_count_;
-    return img;
-  }
-
-  static void restore_address_space(const AddressSpaceImage& img, mm::AddressSpace& as) {
-    HPMMAP_ASSERT(as.pid_ == img.pid, "snapshot: address-space pid mismatch");
-    restore_vmas(img.vmas, as.vmas_);
-    restore_page_table(img.pt, as.pt_);
-    as.heap_base_ = img.heap_base;
-    as.heap_end_ = img.heap_end;
-    as.locked_until_ = img.locked_until;
-    as.swapped_out_.clear();
-    for (Addr a : img.swapped) {
-      as.swapped_out_.insert(a);
-    }
-    as.zone_policy_ = static_cast<mm::AddressSpace::ZonePolicy>(img.zone_policy);
-    as.home_zone_ = img.home_zone;
-    as.zone_count_ = img.zone_count;
-  }
-
-  // --- capture: THP / module ------------------------------------------------
-
-  static ThpImage capture_thp(const mm::ThpService& t) {
-    ThpImage img;
-    for (const mm::AddressSpace* as : t.processes_) {
-      img.processes.push_back(as->pid());
-    }
-    for (const auto& [as, addr] : t.enter_queue_) {
-      img.enter_queue.push_back(PidAddr{as->pid(), addr});
-    }
-    for (const auto& [as, addr] : t.inflight_) {
-      img.inflight.push_back(PidAddr{as->pid(), addr});
-    }
-    // inflight_ is keyed by pointer, so its iteration order is not
-    // stable across processes; it is membership-only, so sort for a
-    // deterministic image.
-    std::sort(img.inflight.begin(), img.inflight.end(), [](const PidAddr& a, const PidAddr& b) {
-      return a.pid != b.pid ? a.pid < b.pid : a.addr < b.addr;
-    });
-    img.scan_rr = t.scan_rr_;
-    img.scan_cursor = t.scan_cursor_;
-    img.scan_period = t.scan_period_;
-    img.last_scan = t.last_scan_;
-    img.running = t.running_;
-    for (const mm::ThpService::PendingCollapse& pc : t.pending_collapses_) {
-      img.pending_collapses.push_back(
-          ThpCollapseImage{pc.token, pc.as->pid(), pc.region, pc.mapped_small});
-    }
-    for (const mm::ThpService::PendingMerge& pm : t.pending_merges_) {
-      img.pending_merges.push_back(
-          ThpMergeImage{pm.token, pm.as->pid(), pm.region, pm.huge_phys});
-    }
-    img.next_token = t.next_token_;
-    img.stats = t.stats_;
-    return img;
-  }
-
-  static void restore_thp(const ThpImage& img, mm::ThpService& t, os::Node& node) {
-    t.processes_.clear();
-    for (Pid pid : img.processes) {
-      t.processes_.push_back(&find_process(node, pid)->as_);
-    }
-    t.enter_queue_.clear();
-    for (const PidAddr& pa : img.enter_queue) {
-      t.enter_queue_.emplace_back(&find_process(node, pa.pid)->as_, pa.addr);
-    }
-    t.inflight_.clear();
-    for (const PidAddr& pa : img.inflight) {
-      t.inflight_.emplace(&find_process(node, pa.pid)->as_, pa.addr);
-    }
-    t.scan_rr_ = static_cast<std::size_t>(img.scan_rr);
-    t.scan_cursor_ = img.scan_cursor;
-    t.scan_period_ = img.scan_period;
-    t.last_scan_ = img.last_scan;
-    t.running_ = img.running;
-    t.pending_scan_ = sim::EventId{};
-    t.wake_pending_ = sim::EventId{};
-    t.pending_collapses_.clear();
-    for (const ThpCollapseImage& pc : img.pending_collapses) {
-      t.pending_collapses_.push_back(mm::ThpService::PendingCollapse{
-          pc.token, &find_process(node, pc.pid)->as_, pc.region, pc.mapped_small,
-          sim::EventId{}});
-    }
-    t.pending_merges_.clear();
-    for (const ThpMergeImage& pm : img.pending_merges) {
-      t.pending_merges_.push_back(mm::ThpService::PendingMerge{
-          pm.token, &find_process(node, pm.pid)->as_, pm.region, pm.huge_phys,
-          sim::EventId{}});
-    }
-    t.next_token_ = img.next_token;
-    t.stats_ = img.stats;
-  }
-
-  static ModuleImage capture_module(const core::HpmmapModule& m) {
-    ModuleImage img;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(m.rng_);
-    img.offlined = m.offlined_;
-    for (const core::KittenAllocator::ZoneHeap& zh : m.kitten_.zones_) {
-      std::vector<BuddyImage> buddies;
-      for (const mm::BuddyAllocator& b : zh.buddies) {
-        buddies.push_back(capture_buddy(b));
-      }
-      img.kitten_zones.push_back(std::move(buddies));
-    }
-    img.kitten_stats = m.kitten_.stats_;
-    for (const core::PidRegistry::Slot& s : m.registry_.slots_) {
-      img.registry_slots.push_back(
-          RegistrySlotImage{static_cast<std::uint8_t>(s.state), s.pid, s.context});
-    }
-    img.registry_size = m.registry_.size_;
-    img.registry_tombstones = m.registry_.tombstones_;
-    for (const core::HpmmapModule::ProcessContext& c : m.contexts_) {
-      ModuleContextImage ci;
-      ci.pid = (c.live && c.as != nullptr) ? c.as->pid() : 0;
-      ci.vmas = capture_vmas(c.vmas);
-      ci.mmap_cursor = c.mmap_cursor;
-      ci.heap_base = c.heap_base;
-      ci.heap_break = c.heap_break;
-      ci.live = c.live;
-      img.contexts.push_back(std::move(ci));
-    }
-    img.stats = m.stats_;
-    return img;
-  }
-
-  static void restore_module(const ModuleImage& img, core::HpmmapModule& m, os::Node& node) {
-    m.rng_ = std::bit_cast<Rng>(img.rng);
-    // A fresh boot with the same config offlines the same ranges from
-    // the same forked rng stream; verify instead of trusting.
-    HPMMAP_ASSERT(m.offlined_ == img.offlined,
-                  "snapshot: fresh boot offlined different ranges than the image");
-    HPMMAP_ASSERT(m.kitten_.zones_.size() == img.kitten_zones.size(),
-                  "snapshot: kitten zone count mismatch");
-    for (std::size_t z = 0; z < img.kitten_zones.size(); ++z) {
-      core::KittenAllocator::ZoneHeap& zh = m.kitten_.zones_[z];
-      HPMMAP_ASSERT(zh.buddies.size() == img.kitten_zones[z].size(),
-                    "snapshot: kitten heap count mismatch");
-      for (std::size_t i = 0; i < zh.buddies.size(); ++i) {
-        restore_buddy(img.kitten_zones[z][i], zh.buddies[i]);
-      }
-    }
-    m.kitten_.stats_ = img.kitten_stats;
-    m.registry_.slots_.assign(img.registry_slots.size(), core::PidRegistry::Slot{});
-    for (std::size_t i = 0; i < img.registry_slots.size(); ++i) {
-      m.registry_.slots_[i].state =
-          static_cast<core::PidRegistry::State>(img.registry_slots[i].state);
-      m.registry_.slots_[i].pid = img.registry_slots[i].pid;
-      m.registry_.slots_[i].context = img.registry_slots[i].context;
-    }
-    m.registry_.size_ = static_cast<std::size_t>(img.registry_size);
-    m.registry_.tombstones_ = static_cast<std::size_t>(img.registry_tombstones);
-    m.contexts_.clear();
-    for (const ModuleContextImage& ci : img.contexts) {
-      core::HpmmapModule::ProcessContext c;
-      c.as = ci.pid != 0 ? &find_process(node, ci.pid)->as_ : nullptr;
-      restore_vmas(ci.vmas, c.vmas);
-      c.mmap_cursor = ci.mmap_cursor;
-      c.heap_base = ci.heap_base;
-      c.heap_break = ci.heap_break;
-      c.live = ci.live;
-      m.contexts_.push_back(std::move(c));
-    }
-    m.stats_ = img.stats;
-  }
-
-  // --- capture: SMP domain ---------------------------------------------------
-
-  static SmpImage capture_smp(const mm::SmpDomain& s) {
-    SmpImage img;
-    for (const mm::SimLock& l : s.zone_locks_) {
-      img.zone_lock_free_at.push_back(l.free_at);
-    }
-    img.cpu_stall = s.cpu_stall_;
-    for (const mm::SmpDomain::MmState& m : s.mms_) {
-      SmpMmImage mi;
-      mi.pid = m.pid;
-      mi.writer_free_at = m.mmap_sem.writer_free_at;
-      mi.readers_free_at = m.mmap_sem.readers_free_at;
-      for (const mm::SimLock& l : m.pt_shards) {
-        mi.pt_shard_free_at.push_back(l.free_at);
-      }
-      mi.pending_shootdown_pages = m.pending_shootdown_pages;
-      img.mms.push_back(std::move(mi));
-    }
-    for (const mm::SmpDomain::PcpList& l : s.pcp_) {
-      img.pcp.push_back(l.frames);
-    }
-    img.stats = s.stats_;
-    return img;
-  }
-
-  static void restore_smp(const SmpImage& img, mm::SmpDomain& s) {
-    HPMMAP_ASSERT(s.zone_locks_.size() == img.zone_lock_free_at.size(),
-                  "snapshot: smp zone count mismatch");
-    for (std::size_t z = 0; z < img.zone_lock_free_at.size(); ++z) {
-      s.zone_locks_[z].free_at = img.zone_lock_free_at[z];
-    }
-    HPMMAP_ASSERT(s.cpu_stall_.size() == img.cpu_stall.size(),
-                  "snapshot: smp core count mismatch");
-    s.cpu_stall_ = img.cpu_stall;
-    s.mms_.clear();
-    for (const SmpMmImage& mi : img.mms) {
-      mm::SmpDomain::MmState m;
-      m.pid = mi.pid;
-      m.mmap_sem.writer_free_at = mi.writer_free_at;
-      m.mmap_sem.readers_free_at = mi.readers_free_at;
-      for (const Cycles c : mi.pt_shard_free_at) {
-        m.pt_shards.push_back(mm::SimLock{c});
-      }
-      m.pending_shootdown_pages = mi.pending_shootdown_pages;
-      s.mms_.push_back(std::move(m));
-    }
-    HPMMAP_ASSERT(s.pcp_.size() == img.pcp.size(), "snapshot: smp pcp list count mismatch");
-    for (std::size_t i = 0; i < img.pcp.size(); ++i) {
-      s.pcp_[i].frames = img.pcp[i];
-    }
-    s.stats_ = img.stats;
-  }
-
-  // --- capture: os ---------------------------------------------------------
-
-  static SchedulerImage capture_scheduler(const os::Scheduler& s) {
-    SchedulerImage img;
-    for (const os::Scheduler::Thread& t : s.threads_) {
-      img.threads.push_back(SchedulerThreadImage{t.core, t.weight, t.gen, t.live});
-    }
-    img.free_slots = s.free_slots_;
-    img.live_count = s.live_count_;
-    img.pinned_weight = s.pinned_weight_;
-    img.unpinned_weight = s.unpinned_weight_;
-    return img;
-  }
-
-  static void restore_scheduler(const SchedulerImage& img, os::Scheduler& s) {
-    s.threads_.clear();
-    for (const SchedulerThreadImage& t : img.threads) {
-      s.threads_.push_back(os::Scheduler::Thread{t.core, t.weight, t.gen, t.live});
-    }
-    s.free_slots_ = img.free_slots;
-    s.live_count_ = static_cast<std::size_t>(img.live_count);
-    s.pinned_weight_ = img.pinned_weight;
-    s.unpinned_weight_ = img.unpinned_weight;
-    s.dirty_ = true; // mutable caches recompute lazily
-  }
-
-  static BandwidthImage capture_bandwidth(const hw::BandwidthModel& bw) {
-    BandwidthImage img;
-    for (const hw::BandwidthModel::Entry& e : bw.entries_) {
-      img.entries.push_back(BandwidthEntryImage{e.consumer, e.zone, e.demand});
-    }
-    img.zone_demand = bw.zone_demand_;
-    img.capacity = bw.capacity_;
-    img.next_id = bw.next_id_;
-    return img;
-  }
-
-  static void restore_bandwidth(const BandwidthImage& img, hw::BandwidthModel& bw) {
-    bw.entries_.clear();
-    for (const BandwidthEntryImage& e : img.entries) {
-      bw.entries_.push_back(hw::BandwidthModel::Entry{e.consumer, e.zone, e.demand});
-    }
-    bw.zone_demand_ = img.zone_demand;
-    bw.capacity_ = img.capacity;
-    bw.next_id_ = img.next_id;
-  }
-
-  static os::Process* find_process(os::Node& node, Pid pid) {
+  static os::Process& find_process(os::Node& node, Pid pid) {
     for (const auto& p : node.processes_) {
       if (p->pid_ == pid) {
-        return p.get();
+        return *p;
       }
     }
-    HPMMAP_ASSERT(false, "snapshot: image references a pid the world does not hold");
-    return nullptr;
+    reject("image references a pid the world does not hold");
   }
 
-  static NodeImage capture_node(os::Node& n) {
-    NodeImage img;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(n.rng_);
-    img.scheduler = capture_scheduler(n.scheduler_);
-    img.bw = capture_bandwidth(n.bw_);
-    img.memory = capture_memory(*n.memory_);
+  /// A Process*/AddressSpace* field, stored as its pid (0 = null) and
+  /// resolved on load against the archive's node.
+  template <class Ar, class T>
+  static void ref(Ar& ar, T*& p) {
+    Pid pid = p != nullptr ? p->pid() : 0;
+    ar(pid);
+    if constexpr (Ar::kLoad) {
+      os::Process* proc = pid != 0 ? &find_process(*ar.node, pid) : nullptr;
+      if constexpr (std::is_same_v<T, os::Process>) {
+        p = proc;
+      } else {
+        p = proc != nullptr ? &proc->as_ : nullptr;
+      }
+    }
+  }
+
+  // --- hw / linux_mm ------------------------------------------------------
+
+  template <class Ar>
+  static void io(Ar& ar, hw::MemMap& m) {
+    ar.expect(m.range_, "mem_map range mismatch");
+    ar(m.meta_, m.link_count_);
+    // The open-addressing link table verbatim, empty slots included, so
+    // probe chains restore bit-identically.
+    ar.pods(m.slots_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::BuddyAllocator& b) {
+    ar.expect(b.range_, "buddy range mismatch");
+    ar.expect(b.max_order_, "buddy order count mismatch");
+    ar.expect(b.lists_.size(), "buddy order count mismatch");
+    ar(b.free_bytes_);
+    for (mm::BuddyAllocator::OrderList& l : b.lists_) {
+      ar(l.bits, l.summary, l.count, l.scan_hint);
+    }
+    io(ar, b.map_);
+    ar(b.corrupt_blocks_);
+    ar.pod(b.stats_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::PageCache& c) {
+    ar(c.head_, c.tail_, c.count_, c.cached_bytes_, c.free_floor_, c.dirty_fraction_,
+       c.grow_count_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::MemorySystem& ms) {
+    ar.pod(ms.rng_);
+    ar.expect(ms.zones_.size(), "zone count mismatch");
+    for (mm::MemorySystem::ZoneState& z : ms.zones_) {
+      io(ar, z.buddy);
+      io(ar, z.cache);
+      ar(z.online_bytes, z.compact_cursor, z.compact_defer);
+    }
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::HugetlbPool& h) {
+    ar.expect(h.pool_.size(), "hugetlb zone count mismatch");
+    for (mm::HugetlbPool::ZonePool& zp : h.pool_) {
+      ar(zp.head, zp.count);
+    }
+    ar(h.total_);
+    ar.pod(h.stats_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::PageTable& pt) {
+    ar.seq(pt.nodes_, [&](mm::PageTable::Node& n) { ar.pod(n.slots); });
+    ar(pt.used_, pt.free_nodes_, pt.table_pages_);
+    ar.pod(pt.mix_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::VmaTree& tree) {
+    std::vector<mm::Vma> vmas;
+    if constexpr (!Ar::kLoad) {
+      tree.for_each([&](const mm::Vma& v) { vmas.push_back(v); });
+    }
+    ar.seq(vmas, [&](mm::Vma& v) {
+      ar(v.range, v.thp_eligible, v.locked);
+      ar.enm(v.prot, kProtRWX);
+      ar.enm(v.kind, mm::VmaKind::kHugetlb);
+      ar.enm(v.hugetlb_size, [](PageSize s) {
+        return s == PageSize::k4K || s == PageSize::k2M || s == PageSize::k1G;
+      });
+    });
+    if constexpr (Ar::kLoad) {
+      // Re-inserting the captured (maximally merged, disjoint) VMAs in
+      // ascending order reproduces the tree: insert() only merges
+      // adjacent *compatible* VMAs, and a consistent tree has none.
+      (void)tree.remove(Range{0, ~Addr{0}});
+      for (const mm::Vma& v : vmas) {
+        ar.check(tree.insert(v) == Errno::kOk, "VMA re-insert failed");
+      }
+    }
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::AddressSpace& as) {
+    io(ar, as.vmas_);
+    io(ar, as.pt_);
+    ar(as.heap_base_, as.heap_end_, as.locked_until_, as.home_zone_, as.zone_count_);
+    ar.enm(as.zone_policy_, mm::AddressSpace::ZonePolicy::kInterleave);
+    // A membership-only set: sorted so equal worlds encode to equal bytes.
+    std::vector<Addr> swapped;
+    if constexpr (!Ar::kLoad) {
+      swapped.assign(as.swapped_out_.begin(), as.swapped_out_.end());
+      std::sort(swapped.begin(), swapped.end());
+    }
+    ar(swapped);
+    if constexpr (Ar::kLoad) {
+      as.swapped_out_.clear();
+      as.swapped_out_.insert(swapped.begin(), swapped.end());
+    }
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, mm::ThpService& t) {
+    using Entry = std::pair<mm::AddressSpace*, Addr>;
+    const auto entry = [&](auto& e) {
+      ref(ar, e.first);
+      ar(e.second);
+    };
+    ar.seq(t.processes_, [&](mm::AddressSpace*& as) { ref(ar, as); });
+    ar.seq(t.enter_queue_, entry);
+    // Pointer-keyed and membership-only: sorted by (pid, addr) so equal
+    // worlds encode to equal bytes.
+    std::vector<Entry> inflight;
+    if constexpr (!Ar::kLoad) {
+      inflight.assign(t.inflight_.begin(), t.inflight_.end());
+      std::sort(inflight.begin(), inflight.end(), [](const Entry& a, const Entry& b) {
+        return std::pair(a.first->pid(), a.second) < std::pair(b.first->pid(), b.second);
+      });
+    }
+    ar.seq(inflight, entry);
+    ar(t.scan_rr_, t.scan_cursor_, t.scan_period_, t.last_scan_, t.running_);
+    ar.seq(t.pending_collapses_, [&](mm::ThpService::PendingCollapse& c) {
+      ref(ar, c.as);
+      ar(c.token, c.region, c.mapped_small);
+    });
+    ar.seq(t.pending_merges_, [&](mm::ThpService::PendingMerge& m) {
+      ref(ar, m.as);
+      ar(m.token, m.region, m.huge_phys);
+    });
+    ar(t.next_token_);
+    ar.pod(t.stats_);
+    if constexpr (Ar::kLoad) {
+      t.inflight_ = std::set<Entry>(inflight.begin(), inflight.end());
+      t.pending_scan_ = sim::EventId{}; // re-armed from the event records
+      t.wake_pending_ = sim::EventId{};
+    }
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, core::HpmmapModule& m) {
+    ar.pod(m.rng_);
+    // A fresh boot with the same config offlines the same ranges from
+    // the same forked rng stream; verify instead of trusting.
+    ar.expect(m.offlined_, "fresh boot offlined different ranges than the image");
+    ar.expect(m.kitten_.zones_.size(), "kitten zone count mismatch");
+    for (core::KittenAllocator::ZoneHeap& zh : m.kitten_.zones_) {
+      ar.expect(zh.buddies.size(), "kitten heap count mismatch");
+      for (mm::BuddyAllocator& b : zh.buddies) {
+        io(ar, b);
+      }
+    }
+    ar.pod(m.kitten_.stats_);
+    ar.seq(m.contexts_, [&](core::HpmmapModule::ProcessContext& c) {
+      ref(ar, c.as);
+      io(ar, c.vmas);
+      ar(c.mmap_cursor, c.heap_base, c.heap_break, c.live);
+    });
+    using State = core::PidRegistry::State;
+    ar.seq(m.registry_.slots_, [&](core::PidRegistry::Slot& s) {
+      ar.enm(s.state, State::kTombstone);
+      ar(s.pid, s.context);
+      ar.check(s.state != State::kUsed || s.context < m.contexts_.size(),
+               "registry names a context the image does not hold");
+    });
+    ar(m.registry_.size_, m.registry_.tombstones_);
+    ar.pod(m.stats_);
+  }
+
+  /// Zone-lock and per-CPU IPI-backlog release points, per-mm lock state,
+  /// every pcp list's frames in LIFO order, and the contention counters.
+  /// A capture taken mid-storm carries future release stamps; restore
+  /// must reproduce them exactly or the resumed run's waits diverge.
+  template <class Ar>
+  static void io(Ar& ar, mm::SmpDomain& s) {
+    ar.expect(s.zone_locks_.size(), "smp zone count mismatch");
+    for (mm::SimLock& l : s.zone_locks_) {
+      ar(l.free_at);
+    }
+    ar.expect(s.cpu_stall_.size(), "smp core count mismatch");
+    for (Cycles& c : s.cpu_stall_) {
+      ar(c);
+    }
+    ar.seq(s.mms_, [&](mm::SmpDomain::MmState& m) {
+      ar(m.pid, m.mmap_sem.writer_free_at, m.mmap_sem.readers_free_at,
+         m.pending_shootdown_pages);
+      ar.pods(m.pt_shards);
+    });
+    ar.expect(s.pcp_.size(), "smp pcp list count mismatch");
+    for (mm::SmpDomain::PcpList& l : s.pcp_) {
+      ar(l.frames);
+    }
+    ar.pod(s.stats_);
+  }
+
+  // --- os ------------------------------------------------------------------
+
+  template <class Ar>
+  static void io(Ar& ar, os::Scheduler& s) {
+    ar.seq(s.threads_, [&](os::Scheduler::Thread& t) { ar(t.core, t.weight, t.gen, t.live); });
+    ar(s.free_slots_, s.live_count_, s.pinned_weight_, s.unpinned_weight_);
+    if constexpr (Ar::kLoad) {
+      s.dirty_ = true; // mutable caches recompute lazily
+    }
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, hw::BandwidthModel& bw) {
+    ar.pods(bw.entries_);
+    ar(bw.zone_demand_, bw.capacity_, bw.next_id_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, std::unique_ptr<os::Process>& p) {
+    Pid pid = p ? p->pid_ : 0;
+    std::string name = p ? p->name_ : std::string();
+    os::MmPolicy policy = p ? p->policy_ : os::MmPolicy{};
+    ar(pid, name);
+    ar.enm(policy, os::MmPolicy::kHpmmap);
+    if constexpr (Ar::kLoad) {
+      p = std::make_unique<os::Process>(pid, std::move(name), policy);
+    }
+    io(ar, p->as_);
+    ar(p->core_, p->sched_.id, p->sched_.gen, p->alive_);
+    ar.pod(p->fault_stats_);
+  }
+
+  template <class Ar>
+  static void io(Ar& ar, os::Node& n) {
+    ar.node = &n;
+    ar.pod(n.rng_);
+    io(ar, n.scheduler_);
+    io(ar, n.bw_);
+    io(ar, *n.memory_);
+    ar.expect(n.hugetlb_ != nullptr, "hugetlb presence mismatch");
     if (n.hugetlb_) {
-      img.has_hugetlb = true;
-      img.hugetlb = capture_hugetlb(*n.hugetlb_);
+      io(ar, *n.hugetlb_);
     }
-    for (const auto& p : n.processes_) {
-      ProcessImage pi;
-      pi.pid = p->pid_;
-      pi.name = p->name_;
-      pi.policy = static_cast<std::uint8_t>(p->policy_);
-      pi.as = capture_address_space(p->as_);
-      pi.core = p->core_;
-      pi.sched_id = p->sched_.id;
-      pi.sched_gen = p->sched_.gen;
-      pi.fault_stats = p->fault_stats_;
-      pi.alive = p->alive_;
-      img.processes.push_back(std::move(pi));
-    }
+    // Processes before module/THP: both resolve AddressSpace pointers by pid.
+    ar.seq(n.processes_, [&](std::unique_ptr<os::Process>& p) { io(ar, p); });
+    ar.expect(n.module_ != nullptr, "module presence mismatch");
     if (n.module_) {
-      img.has_module = true;
-      img.module = capture_module(*n.module_);
+      io(ar, *n.module_);
     }
+    ar.expect(n.thp_ != nullptr, "thp presence mismatch");
     if (n.thp_) {
-      img.has_thp = true;
-      img.thp = capture_thp(*n.thp_);
+      io(ar, *n.thp_);
     }
+    ar.expect(n.smp_ != nullptr, "smp presence mismatch");
     if (n.smp_) {
-      img.has_smp = true;
-      img.smp = capture_smp(*n.smp_);
+      io(ar, *n.smp_);
     }
-    img.next_pid = n.next_pid_;
-    for (const auto& [proc, addr] : n.anon_lru_) {
-      img.anon_lru.push_back(PidAddr{proc->pid_, addr});
+    ar(n.next_pid_, n.swapped_out_total_);
+    ar.seq(n.anon_lru_, [&](std::pair<os::Process*, Addr>& e) {
+      ref(ar, e.first);
+      ar(e.second);
+    });
+    if constexpr (Ar::kLoad) {
+      n.kswapd_event_ = sim::EventId{}; // re-armed from the event records
     }
-    img.swapped_out_total = n.swapped_out_total_;
-    return img;
   }
 
-  static void restore_node(const NodeImage& img, os::Node& n) {
-    n.rng_ = std::bit_cast<Rng>(img.rng);
-    restore_scheduler(img.scheduler, n.scheduler_);
-    restore_bandwidth(img.bw, n.bw_);
-    restore_memory(img.memory, *n.memory_);
-    HPMMAP_ASSERT(img.has_hugetlb == (n.hugetlb_ != nullptr),
-                  "snapshot: hugetlb presence mismatch");
-    if (img.has_hugetlb) {
-      restore_hugetlb(img.hugetlb, *n.hugetlb_);
-    }
-    // Processes before module/THP: both rebind AddressSpace pointers by pid.
-    n.processes_.clear();
-    for (const ProcessImage& pi : img.processes) {
-      auto p = std::make_unique<os::Process>(pi.pid, pi.name,
-                                             static_cast<os::MmPolicy>(pi.policy));
-      restore_address_space(pi.as, p->as_);
-      p->core_ = pi.core;
-      p->sched_ = os::Scheduler::ThreadId{pi.sched_id, pi.sched_gen};
-      p->fault_stats_ = pi.fault_stats;
-      p->alive_ = pi.alive;
-      n.processes_.push_back(std::move(p));
-    }
-    HPMMAP_ASSERT(img.has_module == (n.module_ != nullptr),
-                  "snapshot: module presence mismatch");
-    if (img.has_module) {
-      restore_module(img.module, *n.module_, n);
-    }
-    HPMMAP_ASSERT(img.has_thp == (n.thp_ != nullptr), "snapshot: thp presence mismatch");
-    if (img.has_thp) {
-      restore_thp(img.thp, *n.thp_, n);
-    }
-    HPMMAP_ASSERT(img.has_smp == (n.smp_ != nullptr), "snapshot: smp presence mismatch");
-    if (img.has_smp) {
-      restore_smp(img.smp, *n.smp_);
-    }
-    n.next_pid_ = img.next_pid;
-    n.anon_lru_.clear();
-    for (const PidAddr& pa : img.anon_lru) {
-      n.anon_lru_.emplace_back(find_process(n, pa.pid), pa.addr);
-    }
-    n.swapped_out_total_ = img.swapped_out_total;
-    n.kswapd_event_ = sim::EventId{}; // re-armed from the event records
+  // --- builds and events ----------------------------------------------------
+
+  template <class Ar>
+  static void io(Ar& ar, workloads::KernelBuild& kb) {
+    ar.pod(kb.rng_);
+    ar.seq(kb.jobs_, [&](workloads::KernelBuild::Job& j) {
+      ar.seq(j.blocks, [&](workloads::KernelBuild::Block& b) { ar(b.zone, b.addr, b.order); });
+      ar(j.sched.id, j.sched.gen, j.bw.id, j.home, j.phase, j.live);
+    });
+    ar.pod(kb.stats_);
+    ar(kb.running_);
   }
 
-  // --- capture: builds ------------------------------------------------------
-
-  static BuildImage capture_build(const workloads::KernelBuild& kb, std::uint32_t node_index) {
-    BuildImage img;
-    img.node_index = node_index;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(kb.rng_);
-    for (const workloads::KernelBuild::Job& j : kb.jobs_) {
-      BuildJobImage ji;
-      for (const workloads::KernelBuild::Block& blk : j.blocks) {
-        ji.blocks.push_back(BuildBlockImage{blk.zone, blk.addr, blk.order});
-      }
-      ji.sched_id = j.sched.id;
-      ji.sched_gen = j.sched.gen;
-      ji.bw_id = j.bw.id;
-      ji.home = j.home;
-      ji.phase = j.phase;
-      ji.live = j.live;
-      img.jobs.push_back(std::move(ji));
-    }
-    img.stats = kb.stats_;
-    img.running = kb.running_;
-    return img;
+  template <class Ar>
+  static void io(Ar& ar, EventRecord& r) {
+    ar(r.when, r.seq, r.daemon, r.node_index, r.build_index, r.aux);
+    ar.enm(r.kind, EventKind::kBuildStep);
   }
 
-  static void restore_build(const BuildImage& img, workloads::KernelBuild& kb) {
-    kb.rng_ = std::bit_cast<Rng>(img.rng);
-    kb.jobs_.clear();
-    kb.jobs_.resize(img.jobs.size());
-    for (std::size_t i = 0; i < img.jobs.size(); ++i) {
-      const BuildJobImage& ji = img.jobs[i];
-      workloads::KernelBuild::Job& j = kb.jobs_[i];
-      for (const BuildBlockImage& blk : ji.blocks) {
-        j.blocks.push_back(workloads::KernelBuild::Block{blk.zone, blk.addr, blk.order});
-      }
-      j.sched = os::Scheduler::ThreadId{ji.sched_id, ji.sched_gen};
-      j.bw = hw::BandwidthModel::Consumer{ji.bw_id};
-      j.home = ji.home;
-      j.phase = ji.phase;
-      j.live = ji.live;
-      j.pending = sim::EventId{}; // re-armed from the event records
-    }
-    kb.stats_ = img.stats;
-    kb.running_ = img.running;
+  template <class Ar>
+  static void io(Ar& ar, EngineImage& e) {
+    ar(e.now, e.next_seq, e.fired, e.cancelled, e.stopped);
   }
 
-  // --- events ---------------------------------------------------------------
-
-  static void capture_events(WorldImage& img, const sim::Engine& e,
-                             const std::vector<os::Node*>& nodes,
-                             const std::vector<BuildRef>& builds) {
+  static std::vector<EventRecord> capture_events(const sim::Engine& e,
+                                                 const std::vector<os::Node*>& nodes,
+                                                 const std::vector<BuildRef>& builds) {
+    std::vector<EventRecord> events;
+    // A stale handle (fired or cancelled since it was stored) records nothing.
     auto record = [&](sim::EventId id, EventKind kind, std::uint32_t node_index,
                       std::uint32_t build_index, std::uint64_t aux) {
-      const std::optional<EventInfo> info = event_info(e, id);
-      if (!info) {
-        return; // stale handle: fired or cancelled, nothing pending
+      const std::uint32_t slot = id.slot - 1;
+      if (!id.valid() || slot >= e.slots_.size() || e.slots_[slot].gen != id.gen) {
+        return;
       }
-      img.events.push_back(EventRecord{info->when, info->seq, info->daemon, kind,
+      for (const sim::Engine::Entry& entry : e.heap_) {
+        if (entry.slot == slot && entry.gen == id.gen) {
+          events.push_back(EventRecord{entry.when, entry.seq, e.slots_[slot].daemon, kind,
                                        node_index, build_index, aux});
+          return;
+        }
+      }
     };
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const auto ni = static_cast<std::uint32_t>(i);
@@ -778,231 +505,224 @@ struct Access {
     }
     // Every live engine event must have been claimed by an owner above;
     // an unclaimed event would silently vanish from the resumed run.
-    HPMMAP_ASSERT(img.events.size() == e.live_,
+    HPMMAP_ASSERT(events.size() == e.live_,
                   "snapshot: engine holds events no owner accounted for");
+    return events;
   }
 
-  static void rearm_events(const WorldImage& img, sim::Engine& e,
+  template <class Pending>
+  static auto& find_token(std::vector<Pending>& pending, std::uint64_t token,
+                          const char* what) {
+    const auto it = std::find_if(pending.begin(), pending.end(),
+                                 [token](const Pending& p) { return p.token == token; });
+    if (it == pending.end()) {
+      reject(what);
+    }
+    return *it;
+  }
+
+  static void rearm_events(const std::vector<EventRecord>& events, sim::Engine& e,
                            const std::vector<os::Node*>& nodes,
                            const std::vector<BuildRef>& builds) {
-    for (const EventRecord& r : img.events) {
+    for (const EventRecord& r : events) {
+      const auto arm = [&](auto fn) {
+        return schedule_raw(e, r.when, r.seq, r.daemon, std::move(fn));
+      };
+      if (r.kind == EventKind::kBuildSpawn || r.kind == EventKind::kBuildStep) {
+        if (r.build_index >= builds.size()) {
+          reject("event names a build the world does not hold");
+        }
+        workloads::KernelBuild* kb = builds[r.build_index].build;
+        if (r.aux >= kb->jobs_.size()) {
+          reject("event names a job slot the build does not hold");
+        }
+        const auto slot = static_cast<std::size_t>(r.aux);
+        kb->jobs_[slot].pending = r.kind == EventKind::kBuildSpawn
+                                      ? arm([kb, slot] { kb->spawn_job(slot); })
+                                      : arm([kb, slot] { kb->job_step(slot); });
+        continue;
+      }
+      if (r.node_index >= nodes.size()) {
+        reject("event names a node the world does not hold");
+      }
+      os::Node* n = nodes[r.node_index];
+      if (r.kind == EventKind::kKswapd) {
+        n->kswapd_event_ = arm([n] { n->kswapd_tick(); });
+        continue;
+      }
+      mm::ThpService* t = n->thp_.get();
+      if (t == nullptr) {
+        reject("khugepaged event on a node without THP");
+      }
+      const std::uint64_t token = r.aux;
       switch (r.kind) {
-        case EventKind::kKswapd: {
-          os::Node* n = nodes[r.node_index];
-          n->kswapd_event_ =
-              schedule_raw(e, r.when, r.seq, r.daemon, [n] { n->kswapd_tick(); });
+        case EventKind::kThpScan:
+          t->pending_scan_ = arm([t] { t->scan_tick(); });
           break;
-        }
-        case EventKind::kThpScan: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          t->pending_scan_ =
-              schedule_raw(e, r.when, r.seq, r.daemon, [t] { t->scan_tick(); });
+        case EventKind::kThpWake:
+          t->wake_pending_ = arm([t] { t->wake_tick(); });
           break;
-        }
-        case EventKind::kThpWake: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          t->wake_pending_ =
-              schedule_raw(e, r.when, r.seq, r.daemon, [t] { t->wake_tick(); });
+        case EventKind::kThpCollapse:
+          find_token(t->pending_collapses_, token, "collapse event without a registry entry")
+              .event = arm([t, token] { t->collapse_tick(token); });
           break;
-        }
-        case EventKind::kThpCollapse: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          const std::uint64_t token = r.aux;
-          auto it = std::find_if(
-              t->pending_collapses_.begin(), t->pending_collapses_.end(),
-              [token](const mm::ThpService::PendingCollapse& pc) { return pc.token == token; });
-          HPMMAP_ASSERT(it != t->pending_collapses_.end(),
-                        "snapshot: collapse event without a registry entry");
-          it->event = schedule_raw(e, r.when, r.seq, r.daemon,
-                                   [t, token] { t->collapse_tick(token); });
+        case EventKind::kThpMerge:
+          find_token(t->pending_merges_, token, "merge event without a registry entry").event =
+              arm([t, token] { t->finish_merge(token); });
           break;
-        }
-        case EventKind::kThpMerge: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          const std::uint64_t token = r.aux;
-          auto it = std::find_if(
-              t->pending_merges_.begin(), t->pending_merges_.end(),
-              [token](const mm::ThpService::PendingMerge& pm) { return pm.token == token; });
-          HPMMAP_ASSERT(it != t->pending_merges_.end(),
-                        "snapshot: merge event without a registry entry");
-          it->event = schedule_raw(e, r.when, r.seq, r.daemon,
-                                   [t, token] { t->finish_merge(token); });
+        default:
           break;
-        }
-        case EventKind::kBuildSpawn: {
-          workloads::KernelBuild* kb = builds[r.build_index].build;
-          const auto slot = static_cast<std::size_t>(r.aux);
-          kb->jobs_[slot].pending =
-              schedule_raw(e, r.when, r.seq, r.daemon, [kb, slot] { kb->spawn_job(slot); });
-          break;
-        }
-        case EventKind::kBuildStep: {
-          workloads::KernelBuild* kb = builds[r.build_index].build;
-          const auto slot = static_cast<std::size_t>(r.aux);
-          kb->jobs_[slot].pending =
-              schedule_raw(e, r.when, r.seq, r.daemon, [kb, slot] { kb->job_step(slot); });
-          break;
-        }
       }
     }
-    HPMMAP_ASSERT(e.live_ == img.events.size(), "snapshot: re-arm count mismatch");
   }
 
   // --- per-run context -----------------------------------------------------
 
-  static TraceImage capture_trace() {
-    const trace::FlightRecorder& rec = trace::recorder();
-    TraceImage img;
-    img.ring = rec.ring_;
-    img.capacity = rec.capacity_;
-    img.head = rec.head_;
-    img.dropped = rec.dropped_;
-    img.recorded = rec.recorded_;
-    return img;
-  }
-
-  static void restore_trace(const TraceImage& img) {
-    trace::FlightRecorder& rec = trace::recorder();
-    rec.ring_ = img.ring;
-    rec.capacity_ = static_cast<std::size_t>(img.capacity);
-    rec.head_ = static_cast<std::size_t>(img.head);
-    rec.dropped_ = img.dropped;
-    rec.recorded_ = img.recorded;
-  }
-
-  static RunningStatsImage capture_running_stats(const RunningStats& s) {
-    return RunningStatsImage{s.n_, s.mean_, s.m2_, s.min_, s.max_, s.sum_};
-  }
-
-  static void restore_running_stats(const RunningStatsImage& img, RunningStats& s) {
-    s.n_ = img.n;
-    s.mean_ = img.mean;
-    s.m2_ = img.m2;
-    s.min_ = img.min;
-    s.max_ = img.max;
-    s.sum_ = img.sum;
-  }
-
-  static P2QuantileImage capture_p2(const P2Quantile& p) {
-    P2QuantileImage img;
-    img.q = p.q_;
-    img.n = p.n_;
-    for (int i = 0; i < 5; ++i) {
-      img.heights[static_cast<std::size_t>(i)] = p.heights_[i];
-      img.positions[static_cast<std::size_t>(i)] = p.positions_[i];
-      img.desired[static_cast<std::size_t>(i)] = p.desired_[i];
-      img.increments[static_cast<std::size_t>(i)] = p.increments_[i];
+  template <class Ar>
+  static void io(Ar& ar, trace::FlightRecorder& rec) {
+    // Event names and string arguments point into the binary: each
+    // distinct string is written once, events name it by index (0 =
+    // none), and load interns each once.
+    std::vector<std::string> table;
+    std::unordered_map<std::string_view, std::uint32_t> index;
+    if constexpr (!Ar::kLoad) {
+      const auto add = [&](const char* s) {
+        if (s != nullptr && index.emplace(s, table.size() + 1).second) {
+          table.emplace_back(s);
+        }
+      };
+      for (const trace::Event& e : rec.ring_) {
+        add(e.event_name);
+        for (const trace::Arg& a : e.args) {
+          add(a.name);
+          if (a.kind == trace::Arg::Kind::kStr) {
+            add(a.value.str);
+          }
+        }
+      }
     }
-    return img;
+    ar(table);
+    std::vector<const char*> interned{nullptr};
+    if constexpr (Ar::kLoad) {
+      for (const std::string& s : table) {
+        interned.push_back(intern(s));
+      }
+    }
+    const auto name = [&](const char*& s) {
+      std::uint32_t i = 0;
+      if constexpr (!Ar::kLoad) {
+        i = s != nullptr ? index.at(s) : 0;
+      }
+      ar(i);
+      if constexpr (Ar::kLoad) {
+        ar.check(i < interned.size(), "trace name index out of range");
+        s = interned[i];
+      }
+    };
+    ar(rec.capacity_, rec.head_, rec.dropped_, rec.recorded_);
+    ar.seq(rec.ring_, [&](trace::Event& e) {
+      ar(e.ts, e.dur, e.pid, e.core, e.span, e.arg_count);
+      ar.check(e.arg_count <= trace::Event::kMaxArgs, "trace event argument count out of range");
+      name(e.event_name);
+      ar.enm(e.cat, [](trace::Category c) {
+        const auto bit = static_cast<std::uint32_t>(c);
+        return std::has_single_bit(bit) && (bit & trace::kAllCategories) != 0;
+      });
+      ar.enm(e.phase, [](trace::Phase p) {
+        return p == trace::Phase::kComplete || p == trace::Phase::kInstant ||
+               p == trace::Phase::kCounter;
+      });
+      for (trace::Arg& a : e.args) {
+        name(a.name);
+        ar.enm(a.kind, trace::Arg::Kind::kStr);
+        switch (a.kind) {
+          case trace::Arg::Kind::kNone:
+            break;
+          case trace::Arg::Kind::kU64:
+            ar(a.value.u64);
+            break;
+          case trace::Arg::Kind::kF64:
+            ar(a.value.f64);
+            break;
+          case trace::Arg::Kind::kStr:
+            name(a.value.str);
+            break;
+        }
+      }
+    });
+    ar.check(rec.capacity_ > 0 && rec.ring_.size() <= rec.capacity_ &&
+                 rec.head_ < rec.capacity_,
+             "trace ring out of range");
   }
 
-  static void restore_p2(const P2QuantileImage& img, P2Quantile& p) {
-    p.q_ = img.q;
-    p.n_ = img.n;
-    for (int i = 0; i < 5; ++i) {
-      p.heights_[i] = img.heights[static_cast<std::size_t>(i)];
-      p.positions_[i] = img.positions[static_cast<std::size_t>(i)];
-      p.desired_[i] = img.desired[static_cast<std::size_t>(i)];
-      p.increments_[i] = img.increments[static_cast<std::size_t>(i)];
-    }
-  }
-
-  static MetricsImage capture_metrics() {
-    const trace::MetricRegistry& reg = trace::metrics();
-    MetricsImage img;
-    for (const auto& [name, value] : reg.counters_) {
-      img.counters.emplace_back(name, value);
-    }
-    for (const auto& [name, hist] : reg.histograms_) {
-      HistogramImage hi;
-      hi.stats = capture_running_stats(hist.stats_);
-      hi.p50 = capture_p2(hist.p50_);
-      hi.p95 = capture_p2(hist.p95_);
-      hi.p99 = capture_p2(hist.p99_);
-      img.histograms.emplace_back(name, hi);
-    }
-    return img;
-  }
-
-  static void restore_metrics(const MetricsImage& img) {
-    trace::MetricRegistry& reg = trace::metrics();
-    reg.counters_.clear();
-    reg.histograms_.clear();
-    for (const auto& [name, value] : img.counters) {
-      reg.counters_[name] = value;
-    }
-    for (const auto& [name, hi] : img.histograms) {
-      trace::Histogram& h = reg.histograms_[name];
-      restore_running_stats(hi.stats, h.stats_);
-      restore_p2(hi.p50, h.p50_);
-      restore_p2(hi.p95, h.p95_);
-      restore_p2(hi.p99, h.p99_);
-    }
-  }
-
-  static InjectorImage capture_injector() {
-    const verify::FaultInjector& inj = verify::injector();
-    InjectorImage img;
-    img.plan = inj.plan_;
-    img.stats = inj.stats_;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(inj.rng_);
-    img.armed = inj.armed_;
-    return img;
+  template <class Ar>
+  static void io(Ar& ar, trace::MetricRegistry& reg) {
+    ar.map(reg.counters_, [&](std::uint64_t& v) { ar(v); });
+    ar.map(reg.histograms_, [&](trace::Histogram& h) { ar.pod(h); });
   }
 
   /// on_fire_ is deliberately untouched: the resumed harness installs
   /// its own audit hook before restore.
-  static void restore_injector(const InjectorImage& img) {
-    verify::FaultInjector& inj = verify::injector();
-    inj.plan_ = img.plan;
-    inj.stats_ = img.stats;
-    inj.rng_ = std::bit_cast<Rng>(img.rng);
-    inj.armed_ = img.armed;
+  template <class Ar>
+  static void io(Ar& ar, verify::FaultInjector& inj) {
+    ar.pod(inj.plan_);
+    ar.pod(inj.stats_);
+    ar.pod(inj.rng_);
+    ar(inj.armed_);
   }
 
   // --- top level ------------------------------------------------------------
 
-  static WorldImage capture(sim::Engine& e, const std::vector<os::Node*>& nodes,
-                            const std::vector<BuildRef>& builds) {
-    WorldImage img;
-    img.fingerprint = fingerprint(nodes, builds);
-    img.engine = EngineImage{e.now_, e.next_seq_, e.fired_, e.cancelled_, e.stopped_};
+  /// The whole image, in order. Save writes `fp`; Load rejects an image
+  /// whose fingerprint differs from `fp` (the target's) before it
+  /// touches anything.
+  template <class Ar>
+  static void world(Ar& ar, const Fingerprint& fp, EngineImage& engine,
+                    std::vector<EventRecord>& events, const std::vector<os::Node*>& nodes,
+                    const std::vector<BuildRef>& builds) {
+    ar.expect(fp, "image does not match the target world's layout");
+    io(ar, engine);
     for (os::Node* n : nodes) {
-      img.nodes.push_back(capture_node(*n));
+      io(ar, *n);
     }
     for (const BuildRef& b : builds) {
-      img.builds.push_back(capture_build(*b.build, b.node_index));
+      io(ar, *b.build);
     }
-    capture_events(img, e, nodes, builds);
-    img.trace = capture_trace();
-    img.metrics = capture_metrics();
-    img.injector = capture_injector();
+    ar.seq(events, [&](EventRecord& r) { io(ar, r); });
+    io(ar, trace::recorder());
+    io(ar, trace::metrics());
+    io(ar, verify::injector());
+  }
+
+  static WorldImage capture(sim::Engine& e, const std::vector<os::Node*>& nodes,
+                            const std::vector<BuildRef>& builds) {
+    WorldImage img{fingerprint(nodes, builds),
+                   EngineImage{e.now_, e.next_seq_, e.fired_, e.cancelled_, e.stopped_},
+                   {}};
+    std::vector<EventRecord> events = capture_events(e, nodes, builds);
+    Save sizer(nullptr);
+    world(sizer, img.fingerprint, img.engine, events, nodes, builds);
+    img.bytes.reserve(sizer.size());
+    Save ar(&img.bytes);
+    world(ar, img.fingerprint, img.engine, events, nodes, builds);
     return img;
   }
 
   static void restore(const WorldImage& img, sim::Engine& e,
                       const std::vector<os::Node*>& nodes,
                       const std::vector<BuildRef>& builds) {
-    HPMMAP_ASSERT(img.fingerprint == fingerprint(nodes, builds),
-                  "snapshot: image does not match the target world's layout");
+    Load ar(img.bytes);
+    EngineImage engine;
+    std::vector<EventRecord> events;
+    world(ar, fingerprint(nodes, builds), engine, events, nodes, builds);
+    ar.finish();
     clear_events(e);
-    HPMMAP_ASSERT(img.nodes.size() == nodes.size(), "snapshot: node count mismatch");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      restore_node(img.nodes[i], *nodes[i]);
-    }
-    HPMMAP_ASSERT(img.builds.size() == builds.size(), "snapshot: build count mismatch");
-    for (std::size_t b = 0; b < builds.size(); ++b) {
-      restore_build(img.builds[b], *builds[b].build);
-    }
-    rearm_events(img, e, nodes, builds);
-    e.now_ = img.engine.now;
-    e.next_seq_ = img.engine.next_seq;
-    e.fired_ = img.engine.fired;
-    e.cancelled_ = img.engine.cancelled;
-    e.stopped_ = img.engine.stopped;
-    restore_trace(img.trace);
-    restore_metrics(img.metrics);
-    restore_injector(img.injector);
+    rearm_events(events, e, nodes, builds);
+    e.now_ = engine.now;
+    e.next_seq_ = engine.next_seq;
+    e.fired_ = engine.fired;
+    e.cancelled_ = engine.cancelled;
+    e.stopped_ = engine.stopped;
   }
 };
 
@@ -1018,5 +738,136 @@ void restore_world(const WorldImage& image, sim::Engine& engine,
 }
 
 bool step_one(sim::Engine& engine) { return Access::step(engine); }
+
+// --- image memory and the image file ----------------------------------------
+
+namespace {
+
+// glibc serves blocks under 32 MiB (its largest mmap threshold) from
+// the heap, which recycles them for images and worlds alike. Larger
+// blocks it maps afresh on every allocation, so those are kept here,
+// sizes rounded up to whole MiB so images of one world at different
+// instants share them.
+constexpr std::size_t kPooledMin = std::size_t{32} << 20;
+constexpr std::size_t kGranule = std::size_t{1} << 20;
+/// A captured and a loaded image of one world; older blocks are freed.
+constexpr std::size_t kPooledBlocks = 2;
+
+struct BlockPool {
+  std::mutex mu;
+  std::deque<std::pair<char*, std::size_t>> blocks;
+};
+
+BlockPool& block_pool() {
+  static auto* pool = new BlockPool();
+  return *pool;
+}
+
+std::size_t block_size(std::size_t n) {
+  return n < kPooledMin ? n : (n + kGranule - 1) / kGranule * kGranule;
+}
+
+} // namespace
+
+char* ImageAllocator::allocate(std::size_t n) {
+  const std::size_t size = block_size(n);
+  if (size >= kPooledMin) {
+    BlockPool& pool = block_pool();
+    const std::lock_guard<std::mutex> lock(pool.mu);
+    for (auto it = pool.blocks.begin(); it != pool.blocks.end(); ++it) {
+      if (it->second == size) {
+        char* p = it->first;
+        pool.blocks.erase(it);
+        return p;
+      }
+    }
+  }
+  return std::allocator<char>{}.allocate(size);
+}
+
+void ImageAllocator::deallocate(char* p, std::size_t n) noexcept {
+  std::pair<char*, std::size_t> freed{p, block_size(n)};
+  if (freed.second >= kPooledMin) {
+    BlockPool& pool = block_pool();
+    const std::lock_guard<std::mutex> lock(pool.mu);
+    pool.blocks.push_back(freed);
+    if (pool.blocks.size() <= kPooledBlocks) {
+      return;
+    }
+    freed = pool.blocks.front(); // evict the oldest
+    pool.blocks.pop_front();
+  }
+  std::allocator<char>{}.deallocate(freed.first, freed.second);
+}
+
+std::uint64_t digest(std::string_view payload) noexcept {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t i = 0;
+  for (; i + 8 <= payload.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, payload.data() + i, 8);
+    h = (h ^ word) * kPrime;
+  }
+  for (; i < payload.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(payload[i])) * kPrime;
+  }
+  return h;
+}
+
+namespace {
+
+struct FileHeader {
+  std::uint32_t magic = kMagic;
+  std::uint32_t version = kVersion;
+  std::uint64_t length = 0;
+  std::uint64_t digest = 0;
+};
+static_assert(sizeof(FileHeader) == kFileHeaderBytes);
+
+} // namespace
+
+void save(const WorldImage& image, const std::string& path) {
+  const FileHeader header{kMagic, kVersion, image.bytes.size(), digest(image.bytes)};
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  HPMMAP_ASSERT(out.good(), "snapshot: cannot open output file");
+  out.write(reinterpret_cast<const char*>(&header), sizeof header);
+  out.write(image.bytes.data(), static_cast<std::streamsize>(image.bytes.size()));
+  HPMMAP_ASSERT(out.good(), "snapshot: write failed");
+}
+
+WorldImage load(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    reject("cannot open image file");
+  }
+  const auto file_size = static_cast<std::uint64_t>(in.tellg());
+  FileHeader header;
+  if (file_size < sizeof header ||
+      !in.seekg(0).read(reinterpret_cast<char*>(&header), sizeof header)) {
+    reject("image file shorter than its header");
+  }
+  if (header.magic != kMagic) {
+    reject("not a snapshot image");
+  }
+  if (header.version != kVersion) {
+    reject("unsupported image version");
+  }
+  if (header.length != file_size - sizeof header) {
+    reject("image length does not match the file size");
+  }
+  WorldImage image;
+  image.bytes.resize(static_cast<std::size_t>(header.length));
+  if (!in.read(image.bytes.data(), static_cast<std::streamsize>(header.length))) {
+    reject("cannot read image file");
+  }
+  if (digest(image.bytes) != header.digest) {
+    reject("image digest mismatch");
+  }
+  Load ar(image.bytes);
+  ar(image.fingerprint);
+  Access::io(ar, image.engine);
+  return image;
+}
 
 } // namespace hpmmap::snapshot

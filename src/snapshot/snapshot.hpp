@@ -1,6 +1,6 @@
 // Node snapshot/restore (DESIGN.md §12).
 //
-// capture_world() deep-copies every structure of a quiesced simulation —
+// capture_world() encodes every structure of a quiesced simulation —
 // engine clock and pending events, buddy bitmaps, the mem_map link
 // table, page-cache LRU chains, packed page tables, hugetlb pool
 // stacks, VMA trees, the PID registry, module state, the flight
@@ -12,8 +12,11 @@
 // measurement configurations out from the same aged state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "snapshot/image.hpp"
@@ -29,6 +32,13 @@ class KernelBuild;
 }
 
 namespace hpmmap::snapshot {
+
+/// An image file or image that cannot be restored: unreadable, framed
+/// wrongly, failing its digest, inconsistent with itself, or describing
+/// a different world than the target.
+struct LoadError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// A kernel build participating in the world, tagged with the node it
 /// churns (scaling worlds run one or more builds per node).
@@ -47,9 +57,16 @@ struct BuildRef {
 
 /// Overwrite a freshly constructed world with `image`. The target must
 /// be structurally identical to the captured one (same node/zone layout,
-/// same builds constructed but not started); the fingerprint is asserted.
-/// Also restores this thread's flight recorder, metrics and injector
-/// counters (the injector's on_fire hook is left untouched).
+/// same builds constructed but not started). Also restores this thread's
+/// flight recorder, metrics and injector counters (the injector's
+/// on_fire hook is left untouched).
+///
+/// Throws LoadError when the fingerprint differs (the world is then
+/// untouched) or when the image contradicts itself or the target (an
+/// index, pid, enum or count out of range, trailing bytes). After such a
+/// mid-restore failure the world and this thread's trace state are
+/// unusable: restore a good image into them before running or
+/// destroying the world, since teardown walks the half-restored state.
 void restore_world(const WorldImage& image, sim::Engine& engine,
                    const std::vector<os::Node*>& nodes,
                    const std::vector<BuildRef>& builds = {});
@@ -58,9 +75,19 @@ void restore_world(const WorldImage& image, sim::Engine& engine,
 /// the replay-to-anomaly harness). Returns false when nothing fired.
 bool step_one(sim::Engine& engine);
 
-/// Binary serialization for --snapshot-out / --snapshot-in. Trace
-/// strings are interned into a process-lifetime pool on load.
+/// File format v4: u32 magic "HPSN", u32 version, u64 payload length,
+/// u64 digest(payload), then the payload (WorldImage::bytes).
+inline constexpr std::size_t kFileHeaderBytes = 24;
+
+/// FNV-1a over the payload's native-order 64-bit words, then its tail
+/// bytes (DESIGN.md §12.2).
+[[nodiscard]] std::uint64_t digest(std::string_view payload) noexcept;
+
+/// Write `image` to `path` (--snapshot-out).
 void save(const WorldImage& image, const std::string& path);
+/// Read an image file (--snapshot-in). Throws LoadError when the file
+/// cannot be opened, its magic, version or length is wrong, or its
+/// digest does not match. Trace strings are interned on restore.
 [[nodiscard]] WorldImage load(const std::string& path);
 
 } // namespace hpmmap::snapshot

@@ -44,8 +44,6 @@ class Histogram {
   [[nodiscard]] double p99() const noexcept { return p99_.value(); }
 
  private:
-  friend struct hpmmap::snapshot::Access;
-
   RunningStats stats_;
   P2Quantile p50_;
   P2Quantile p95_;

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,6 +29,7 @@
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "verify/audit.hpp"
+#include "workloads/kernel_build.hpp"
 
 namespace hpmmap {
 namespace {
@@ -209,16 +212,18 @@ os::NodeConfig node_config(std::uint64_t seed, bool aged) {
   return cfg;
 }
 
-/// Boot an aged node, churn it through a few processes of every policy,
-/// and let the daemons run — the state a capture should preserve.
-void churn(sim::Engine& engine, os::Node& node) {
-  static constexpr os::MmPolicy kPolicies[] = {
-      os::MmPolicy::kLinuxThp, os::MmPolicy::kLinuxPlain, os::MmPolicy::kHugetlbfs,
-      os::MmPolicy::kHpmmap};
+/// Boot an aged node, churn it through one process per policy (every
+/// policy by default), and let the daemons run — the state a capture
+/// should preserve.
+void churn(sim::Engine& engine, os::Node& node,
+           std::vector<os::MmPolicy> policies = {os::MmPolicy::kLinuxThp,
+                                                 os::MmPolicy::kLinuxPlain,
+                                                 os::MmPolicy::kHugetlbfs,
+                                                 os::MmPolicy::kHpmmap}) {
   Rng rng(99);
   std::vector<os::Process*> procs;
-  for (int i = 0; i < 4; ++i) {
-    procs.push_back(&node.spawn("churn" + std::to_string(i), kPolicies[i],
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    procs.push_back(&node.spawn("churn" + std::to_string(i), policies[i],
                                 static_cast<std::int32_t>(i % 8), 1.0,
                                 mm::AddressSpace::ZonePolicy::kSingle, 0));
   }
@@ -295,6 +300,22 @@ std::string file_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Rewrite an image file's length and digest to match its payload, so a
+/// mutation inside the payload reaches the decoder instead of stopping
+/// at the digest check.
+void reseal(std::string& bytes) {
+  const std::uint64_t length = bytes.size() - snapshot::kFileHeaderBytes;
+  const std::uint64_t sum =
+      snapshot::digest(std::string_view(bytes).substr(snapshot::kFileHeaderBytes));
+  std::memcpy(bytes.data() + 8, &length, sizeof length);
+  std::memcpy(bytes.data() + 16, &sum, sizeof sum);
+}
+
 TEST(SnapshotNodeDeathTest, HugeStringLengthIsATruncatedImageNotAnOutOfBoundsRead) {
   sim::Engine engine;
   os::Node node(engine, node_config(23, /*aged=*/false));
@@ -302,17 +323,18 @@ TEST(SnapshotNodeDeathTest, HugeStringLengthIsATruncatedImageNotAnOutOfBoundsRea
       (std::filesystem::temp_directory_path() / "hpmmap_test_snapshot_overflow.img").string();
   snapshot::save(snapshot::capture_world(engine, {&node}), path);
 
-  // Layout: u32 magic, u32 version, u64 fingerprint count, then the first
+  // Layout: 24-byte header (u32 magic, u32 version, u64 length, u64
+  // digest), then the payload: u64 fingerprint count, then the first
   // key's u64 length. A length of 2^64-1 used to wrap the bounds check.
+  // Resealing keeps the digest from catching it, so the count check
+  // against the remaining bytes is what must reject it.
   std::string bytes = file_bytes(path);
-  ASSERT_GT(bytes.size(), 24u);
-  ASSERT_NE(bytes.substr(8, 8), std::string(8, '\0')) << "fingerprint must have a key";
-  bytes.replace(16, 8, std::string(8, '\xff'));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-  EXPECT_DEATH((void)snapshot::load(path), "truncated image file");
+  ASSERT_GT(bytes.size(), 40u);
+  ASSERT_NE(bytes.substr(24, 8), std::string(8, '\0')) << "fingerprint must have a key";
+  bytes.replace(32, 8, std::string(8, '\xff'));
+  reseal(bytes);
+  write_file(path, bytes);
+  EXPECT_THROW((void)snapshot::load(path), snapshot::LoadError);
   std::remove(path.c_str());
 }
 
@@ -322,8 +344,8 @@ TEST(SnapshotNodeDeathTest, HugeStringLengthIsATruncatedImageNotAnOutOfBoundsRea
 // capture taken mid-contention (locks held into the future, pcp lists
 // warm, shootdown IPIs deferred) must round-trip exactly, or the resumed
 // run's waits diverge from the uninterrupted run's. Byte-identity of the
-// serialized images is the strongest equality the format offers, so the
-// checks below compare save() output bit for bit.
+// images is the strongest equality the format offers, so the checks
+// below compare image bytes.
 
 os::NodeConfig smp_node_config(std::uint64_t seed) {
   os::NodeConfig cfg;
@@ -379,27 +401,22 @@ TEST(SnapshotSmp, MidContentionCaptureRoundTripsByteIdentical) {
   ASSERT_GT(smp.pcp_cached_bytes(0), 0u);
 
   const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
-  const std::string path_a = "/tmp/hpmmap_test_smp_a.img";
-  const std::string path_b = "/tmp/hpmmap_test_smp_b.img";
-  snapshot::save(image, path_a);
-  const snapshot::WorldImage loaded = snapshot::load(path_a);
+  const std::string path = "/tmp/hpmmap_test_smp.img";
+  snapshot::save(image, path);
+  const snapshot::WorldImage loaded = snapshot::load(path);
+  std::remove(path.c_str());
 
   sim::Engine engine2;
   os::Node node2(engine2, smp_node_config(41));
   snapshot::restore_world(loaded, engine2, {&node2});
 
-  // Re-capturing the restored world serializes to the same bytes: every
-  // release stamp, list entry and counter survived the round trip. (The
-  // audit comes after the save — it bumps telemetry counters that the
+  // Re-capturing the restored world yields the same bytes: every release
+  // stamp, list entry and counter survived the round trip. (The audit
+  // comes after the capture — it bumps telemetry counters that the
   // snapshot captures.)
-  snapshot::save(snapshot::capture_world(engine2, {&node2}), path_b);
-  EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
+  EXPECT_TRUE(snapshot::capture_world(engine2, {&node2}).bytes == image.bytes);
   const verify::AuditReport report = verify::MmAuditor(node2).run();
   EXPECT_TRUE(report.ok()) << report.summary();
-  if (!::testing::Test::HasFailure()) {
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
-  }
 }
 
 TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
@@ -408,14 +425,12 @@ TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
   // capture into a fresh world, and drive BOTH worlds through the next
   // round. The restored world must keep producing the original's exact
   // bytes — proving the captured SMP state actually steers future
-  // behavior rather than merely surviving serialization.
+  // behavior rather than merely surviving encoding.
   sim::Engine engine;
   os::Node node(engine, smp_node_config(43));
   os::Process& p = node.spawn("smp", os::MmPolicy::kLinuxPlain, 0, 1.0,
                               mm::AddressSpace::ZonePolicy::kSingle, 0);
   std::vector<Addr> slabs;
-  const std::string path_a = "/tmp/hpmmap_test_smp_walk_a.img";
-  const std::string path_b = "/tmp/hpmmap_test_smp_walk_b.img";
   for (int round = 0; round < 5; ++round) {
     smp_churn_round(node, p, slabs, round);
     if (::testing::Test::HasFatalFailure()) {
@@ -441,22 +456,161 @@ TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
-    snapshot::save(snapshot::capture_world(engine, {&node}), path_a);
-    snapshot::save(snapshot::capture_world(engine2, {&node2}), path_b);
-    ASSERT_EQ(file_bytes(path_a), file_bytes(path_b)) << "diverged after round " << round;
+    ASSERT_TRUE(snapshot::capture_world(engine, {&node}).bytes ==
+                snapshot::capture_world(engine2, {&node2}).bytes)
+        << "diverged after round " << round;
 
     // The walk continues on the original only; restored worlds are
     // discarded, so the original now leads by one round.
   }
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
+}
+
+// --- recapture idempotence ---------------------------------------------------
+//
+// Capture, restore into a fresh boot, capture again: the two images must
+// be the same bytes, so no field is lost, reordered or re-derived on the
+// way through. One node per memory manager, each beside a kernel build
+// so build jobs and their armed events are in the image too. (The SMP
+// mid-contention case is SnapshotSmp.MidContentionCaptureRoundTripsByteIdentical.)
+
+os::NodeConfig manager_node_config(os::MmPolicy policy, bool aged) {
+  os::NodeConfig cfg;
+  cfg.machine = hw::dell_r415();
+  cfg.machine.ram_bytes = 4 * GiB;
+  cfg.seed = 17;
+  cfg.aged_boot = aged;
+  cfg.thp_enabled = policy == os::MmPolicy::kLinuxThp;
+  if (policy == os::MmPolicy::kHugetlbfs) {
+    cfg.hugetlb_pool_per_zone = 128 * MiB;
+  }
+  if (policy == os::MmPolicy::kHpmmap) {
+    core::ModuleConfig mod;
+    mod.offline_bytes_per_zone = 512 * MiB;
+    cfg.hpmmap = mod;
+  }
+  return cfg;
+}
+
+workloads::KernelBuildConfig small_build() {
+  workloads::KernelBuildConfig bc;
+  bc.jobs = 2;
+  bc.mean_job_bytes = 16 * MiB;
+  bc.cache_bytes_per_job = 8 * MiB;
+  return bc;
+}
+
+class SnapshotRecapture : public ::testing::TestWithParam<os::MmPolicy> {};
+
+TEST_P(SnapshotRecapture, RestoredWorldRecapturesToTheSameBytes) {
+  const os::MmPolicy policy = GetParam();
+  sim::Engine engine;
+  os::Node node(engine, manager_node_config(policy, /*aged=*/true));
+  workloads::KernelBuild build(node, small_build(), Rng(5));
+  build.start();
+  churn(engine, node, {policy, policy, os::MmPolicy::kLinuxPlain});
+  const snapshot::WorldImage image = snapshot::capture_world(engine, {&node}, {{&build, 0}});
+
+  sim::Engine engine2;
+  os::Node node2(engine2, manager_node_config(policy, /*aged=*/false));
+  workloads::KernelBuild build2(node2, small_build(), Rng(5));
+  snapshot::restore_world(image, engine2, {&node2}, {{&build2, 0}});
+  EXPECT_EQ(engine2.pending_events(), engine.pending_events());
+  EXPECT_TRUE(snapshot::capture_world(engine2, {&node2}, {{&build2, 0}}).bytes == image.bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Managers, SnapshotRecapture,
+                         ::testing::Values(os::MmPolicy::kLinuxThp, os::MmPolicy::kHugetlbfs,
+                                           os::MmPolicy::kHpmmap));
+
+// --- corrupt image files -------------------------------------------------------
+//
+// Mutation fuzz with a fixed seed over one saved aged image: bit flips,
+// truncations, appended bytes and inflated length fields. Each mutation
+// is loaded twice. As written, the digest or framing must reject it.
+// Resealed with a correct length and digest, it reaches the decoder,
+// which must either restore it or throw LoadError (always, for a
+// truncation or appended bytes): never abort, never bad_alloc, never
+// read out of bounds (the ASan/UBSan job runs this too).
+
+TEST(SnapshotFuzz, MutatedImagesAreRejectedOrRestoredNeverCrash) {
+  os::NodeConfig cfg = node_config(29, /*aged=*/true);
+  cfg.machine.ram_bytes = 1 * GiB;
+  cfg.hpmmap->offline_bytes_per_zone = 128 * MiB;
+  cfg.hugetlb_pool_per_zone = 32 * MiB;
+  sim::Engine engine;
+  os::Node node(engine, cfg);
+  workloads::KernelBuild build(node, small_build(), Rng(9));
+  build.start();
+  churn(engine, node);
+  const snapshot::WorldImage pristine = snapshot::capture_world(engine, {&node}, {{&build, 0}});
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hpmmap_test_snapshot_fuzz.img").string();
+  snapshot::save(pristine, path);
+  const std::string good = file_bytes(path);
+  ASSERT_GT(good.size(), 64u);
+
+  cfg.aged_boot = false;
+  sim::Engine engine2;
+  os::Node node2(engine2, cfg);
+  workloads::KernelBuild build2(node2, small_build(), Rng(9));
+  Rng rng(2024);
+  int restored = 0;
+  int rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::string bytes = good;
+    const std::uint64_t at = rng.uniform(bytes.size());
+    switch (i % 4) {
+      case 0: // one flipped bit anywhere, header included
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform(8)));
+        break;
+      case 1: // truncated, but keeping the header
+        bytes.resize(snapshot::kFileHeaderBytes + rng.uniform(bytes.size() - 24));
+        break;
+      case 2: // appended garbage
+        bytes.append(1 + rng.uniform(64), static_cast<char>(rng.uniform(256)));
+        break;
+      case 3: { // an inflated 64-bit length: the header's, the first two
+                // payload counts, or any aligned payload word
+        static constexpr std::uint64_t kHuge[] = {~std::uint64_t{0}, std::uint64_t{1} << 62,
+                                                  std::uint64_t{1} << 32, 1u << 24};
+        const std::uint64_t value = kHuge[rng.uniform(4)];
+        const std::uint64_t pick = rng.uniform(4);
+        const std::uint64_t offset = pick == 0   ? 8
+                                     : pick == 1 ? 24
+                                     : pick == 2 ? 32
+                                                 : 24 + (at - at % 8) % (bytes.size() - 32);
+        std::memcpy(bytes.data() + offset, &value, sizeof value);
+        break;
+      }
+    }
+    write_file(path, bytes);
+    EXPECT_THROW((void)snapshot::load(path), snapshot::LoadError) << "raw mutation " << i;
+
+    reseal(bytes);
+    write_file(path, bytes);
+    try {
+      snapshot::restore_world(snapshot::load(path), engine2, {&node2}, {{&build2, 0}});
+      ++restored;
+      // Missing or extra bytes can never decode.
+      EXPECT_TRUE(i % 4 == 0 || i % 4 == 3) << "resealed mutation " << i << " restored";
+    } catch (const snapshot::LoadError&) {
+      ++rejected;
+    }
+    // A failed restore leaves the world unusable; a good image makes it
+    // whole again (and safe to destroy).
+    snapshot::restore_world(pristine, engine2, {&node2}, {{&build2, 0}});
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(restored, 0);
+  EXPECT_TRUE(snapshot::capture_world(engine2, {&node2}, {{&build2, 0}}).bytes ==
+              pristine.bytes);
 }
 
 // --- causal spans ----------------------------------------------------------
 
-// Snapshot format v3: the flight-recorder image carries each event's
-// causal span, so a capture taken mid-request restores with attribution
-// intact (a span-free ring still loads byte-identically to v2 content).
+// The flight-recorder image carries each event's causal span, so a
+// capture taken mid-request restores with attribution intact.
 TEST(SnapshotTrace, SpanCarryingEventsRoundTripThroughSaveLoad) {
   trace::recorder().set_capacity(1024);
   trace::enable(static_cast<std::uint32_t>(trace::Category::kHarness));
@@ -474,23 +628,30 @@ TEST(SnapshotTrace, SpanCarryingEventsRoundTripThroughSaveLoad) {
   trace::instant(trace::Category::kHarness, "span.none", 7, 2);
   trace::enable_spans(false);
   trace::disable_all();
+  const std::vector<trace::Event> want = trace::recorder().snapshot();
 
   sim::Engine engine;
   os::Node node(engine, node_config(5, /*aged=*/false));
-  const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
   const std::string path = "/tmp/hpmmap_test_span_snapshot.img";
-  snapshot::save(image, path);
+  snapshot::save(snapshot::capture_world(engine, {&node}), path);
   const snapshot::WorldImage loaded = snapshot::load(path);
   std::remove(path.c_str());
 
-  ASSERT_EQ(loaded.trace.ring.size(), image.trace.ring.size());
+  // Restore into a fresh world with an emptied recorder: the ring that
+  // comes back is the image's.
+  trace::recorder().clear();
+  sim::Engine engine2;
+  os::Node node2(engine2, node_config(5, /*aged=*/false));
+  snapshot::restore_world(loaded, engine2, {&node2});
+  const std::vector<trace::Event> got_ring = trace::recorder().snapshot();
+
+  ASSERT_EQ(got_ring.size(), want.size());
   std::uint32_t outer_span = 0, inner_span = 0, none_span = 99;
-  for (std::size_t i = 0; i < loaded.trace.ring.size(); ++i) {
-    const trace::Event& got = loaded.trace.ring[i];
-    const trace::Event& want = image.trace.ring[i];
-    EXPECT_EQ(got.span, want.span) << trace::describe(want);
-    EXPECT_EQ(got.ts, want.ts);
-    EXPECT_EQ(got.name(), want.name());
+  for (std::size_t i = 0; i < got_ring.size(); ++i) {
+    const trace::Event& got = got_ring[i];
+    EXPECT_EQ(got.span, want[i].span) << trace::describe(want[i]);
+    EXPECT_EQ(got.ts, want[i].ts);
+    EXPECT_EQ(got.name(), want[i].name());
     if (got.name() == "span.outer") {
       outer_span = got.span;
     } else if (got.name() == "span.inner") {
