@@ -18,7 +18,10 @@
 // OpenMetrics text + CSV twin on disk, and Perfetto counter tracks
 // spliced into the --trace-out JSON when both are given. --procfs-dump
 // prints the kernel-style /proc view of every node at run end.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -126,6 +129,20 @@ using namespace hpmmap;
       "                   e.g. --inject thp_huge_alloc@100+50x20,net_delay~0.02*16\n",
       argv0);
   std::exit(0);
+}
+
+/// A count option's value: a whole decimal number of at least `min`.
+/// Anything else exits 1 naming the option.
+std::uint32_t parse_count(const char* option, const char* text, std::uint32_t min) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || *end != '\0' ||
+      errno == ERANGE || v < min || v > UINT32_MAX) {
+    std::fprintf(stderr, "%s needs a whole number >= %u (got '%s')\n", option, min, text);
+    std::exit(1);
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 harness::Manager parse_manager(const std::string& s) {
@@ -494,7 +511,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--shape")) {
       shape = next();
     } else if (!std::strcmp(argv[i], "--workers")) {
-      workers = static_cast<std::uint32_t>(std::atoi(next()));
+      workers = parse_count("--workers", next(), 1);
     } else if (!std::strcmp(argv[i], "--queue-depth")) {
       queue_depth = static_cast<std::uint32_t>(std::atoi(next()));
     } else if (!std::strcmp(argv[i], "--slo")) {
@@ -504,15 +521,15 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--profile")) {
       profile = next();
     } else if (!std::strcmp(argv[i], "--cores")) {
-      cores = static_cast<std::uint32_t>(std::atoi(next()));
+      cores = parse_count("--cores", next(), 1);
     } else if (!std::strcmp(argv[i], "--nodes")) {
-      nodes = static_cast<std::uint32_t>(std::atoi(next()));
+      nodes = parse_count("--nodes", next(), 1);
     } else if (!std::strcmp(argv[i], "--cluster-jobs")) {
-      cluster_jobs = std::atoi(next());
+      cluster_jobs = static_cast<int>(parse_count("--cluster-jobs", next(), 0));
     } else if (!std::strcmp(argv[i], "--topology")) {
       topology = next();
     } else if (!std::strcmp(argv[i], "--trials")) {
-      trials = static_cast<std::uint32_t>(std::atoi(next()));
+      trials = parse_count("--trials", next(), 1);
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = std::atof(next());
     } else if (!std::strcmp(argv[i], "--duration")) {
@@ -520,7 +537,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--seed")) {
       seed = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (!std::strcmp(argv[i], "--jobs")) {
-      jobs = static_cast<unsigned>(std::atoi(next()));
+      jobs = parse_count("--jobs", next(), 0);
     } else if (!std::strcmp(argv[i], "--perf-summary")) {
       perf_summary = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
@@ -715,6 +732,39 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A single run reported in full: runtime, the by-kind fault table
+  // (traced single-node runs), verification, introspection, trace dump.
+  const auto report_run = [&](const harness::RunResult& r, bool fault_table) {
+    perf.add_events(r.events_fired);
+    perf.add_faults(r.faults);
+    std::printf("runtime: %.2f s\n", r.runtime_seconds);
+    if (fault_table) {
+      harness::Table t({"Kind", "Count", "Avg cycles", "Stdev cycles"});
+      for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+        const auto kind = static_cast<mm::FaultKind>(k);
+        const auto& row = r.by_kind(kind);
+        t.add_row({std::string(mm::name(kind)), harness::with_commas(row.total_faults),
+                   harness::with_commas(static_cast<std::uint64_t>(row.avg_cycles)),
+                   harness::with_commas(static_cast<std::uint64_t>(row.stdev_cycles))});
+      }
+      t.print();
+      std::printf("khugepaged merges: %llu\n",
+                  static_cast<unsigned long long>(r.thp_merges));
+    }
+    report_verification(r, verify_cfg.inject.any(), audit);
+    report_introspection(r, metrics_out, procfs_dump);
+    if (!trace_out.empty()) {
+      dump_trace(r, trace_out);
+    }
+    return r.audit_violations == 0 ? 0 : 1;
+  };
+  const auto report_point = [&](const harness::SeriesPoint& p) {
+    perf.add_events(p.events);
+    perf.add_series(p);
+    std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
+    return 0;
+  };
+
   if (nodes > 1 || cluster_jobs >= 0) {
     harness::ScalingRunConfig cfg;
     cfg.app = app;
@@ -739,44 +789,18 @@ int main(int argc, char** argv) {
       ccfg.cluster_jobs = static_cast<unsigned>(cluster_jobs);
       std::printf("pdes: per-node engines, %s topology, %d worker(s)\n",
                   std::string(cluster::name(*topo)).c_str(), cluster_jobs);
-      if (!trace_out.empty() || verifying || introspecting || !metrics_out.empty()) {
-        const harness::RunResult r = harness::run_cluster(ccfg);
-        perf.add_events(r.events_fired);
-        perf.add_faults(r.faults);
-        std::printf("runtime: %.2f s\n", r.runtime_seconds);
-        report_verification(r, verify_cfg.inject.any(), audit);
-        report_introspection(r, metrics_out, procfs_dump);
-        if (!trace_out.empty()) {
-          dump_trace(r, trace_out);
-        }
-        return r.audit_violations == 0 ? 0 : 1;
+      if (!trace_out.empty() || verifying || introspecting) {
+        return report_run(harness::run_cluster(ccfg), /*fault_table=*/false);
       }
-      const harness::SeriesPoint p = harness::run_cluster_trials(ccfg, trials);
-      perf.add_events(p.events);
-      perf.add_series(p);
-      std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
-      return 0;
+      return report_point(harness::run_cluster_trials(ccfg, trials));
     }
     if (!trace_out.empty() || verifying) {
-      const harness::RunResult r = harness::run_scaling(cfg);
-      perf.add_events(r.events_fired);
-      perf.add_faults(r.faults);
-      std::printf("runtime: %.2f s\n", r.runtime_seconds);
-      report_verification(r, verify_cfg.inject.any(), audit);
-      report_introspection(r, metrics_out, procfs_dump);
-      if (!trace_out.empty()) {
-        dump_trace(r, trace_out);
-      }
-      return r.audit_violations == 0 ? 0 : 1;
+      return report_run(harness::run_scaling(cfg), /*fault_table=*/false);
     }
-    if (introspecting || !metrics_out.empty()) {
+    if (introspecting) {
       return run_introspected_trials(cfg, trials, jobs, metrics_out, procfs_dump, perf);
     }
-    const harness::SeriesPoint p = harness::run_trials(cfg, trials);
-    perf.add_events(p.events);
-    perf.add_series(p);
-    std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
-    return 0;
+    return report_point(harness::run_trials(cfg, trials));
   }
 
   harness::SingleNodeRunConfig cfg;
@@ -812,35 +836,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", snapshot_in.c_str(), e.what());
       return 1;
     }
-    perf.add_events(r.events_fired);
-    perf.add_faults(r.faults);
-    std::printf("runtime: %.2f s\n", r.runtime_seconds);
-    if (cfg.trace.on()) {
-      harness::Table t({"Kind", "Count", "Avg cycles", "Stdev cycles"});
-      for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-        const auto kind = static_cast<mm::FaultKind>(k);
-        const auto& row = r.by_kind(kind);
-        t.add_row({std::string(mm::name(kind)), harness::with_commas(row.total_faults),
-                   harness::with_commas(static_cast<std::uint64_t>(row.avg_cycles)),
-                   harness::with_commas(static_cast<std::uint64_t>(row.stdev_cycles))});
-      }
-      t.print();
-      std::printf("khugepaged merges: %llu\n",
-                  static_cast<unsigned long long>(r.thp_merges));
-    }
-    report_verification(r, verify_cfg.inject.any(), audit);
-    report_introspection(r, metrics_out, procfs_dump);
-    if (!trace_out.empty()) {
-      dump_trace(r, trace_out);
-    }
-    return r.audit_violations == 0 ? 0 : 1;
+    return report_run(r, /*fault_table=*/cfg.trace.on());
   }
-  if (introspecting || !metrics_out.empty()) {
+  if (introspecting) {
     return run_introspected_trials(cfg, trials, jobs, metrics_out, procfs_dump, perf);
   }
-  const harness::SeriesPoint p = harness::run_trials(cfg, trials);
-  perf.add_events(p.events);
-  perf.add_series(p);
-  std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
-  return 0;
+  return report_point(harness::run_trials(cfg, trials));
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/stats.hpp"
+#include "harness/detail.hpp"
 
 namespace hpmmap::harness {
 
@@ -10,61 +10,30 @@ namespace {
 
 std::atomic<unsigned> g_default_jobs{1};
 
-/// What a trial task returns: enough to fold the SeriesPoint and the
-/// perf summary in deterministic t order on the calling thread.
-struct TrialOutcome {
-  double runtime_seconds = 0.0;
-  std::uint64_t events_fired = 0;
-  mm::FaultStats faults{};
-};
-
-template <typename Config>
-RunResult dispatch(const Config& cfg) {
-  if constexpr (std::is_same_v<Config, SingleNodeRunConfig>) {
-    return run_single_node(cfg);
-  } else {
-    return run_scaling(cfg);
-  }
+// The one-run entry points of each config type, for the generic fan-outs.
+RunResult run_one(const SingleNodeRunConfig& c) { return run_single_node(c); }
+RunResult run_one(const ScalingRunConfig& c) { return run_scaling(c); }
+ServerRunResult run_one(const ServerRunConfig& c) { return run_server(c); }
+SmpRunResult run_one(const SmpRunConfig& c) { return run_smp(c); }
+RunResult run_one(const SingleNodeRunConfig& c, const snapshot::WorldImage& image) {
+  return run_single_node(c, image);
 }
+RunResult run_one(const ScalingRunConfig& c, const snapshot::WorldImage& image) {
+  return run_scaling(c, image);
+}
+snapshot::WorldImage capture(const SingleNodeRunConfig& c) { return capture_single_node(c); }
+snapshot::WorldImage capture(const ScalingRunConfig& c) { return capture_scaling(c); }
 
-template <typename Config>
-std::vector<SeriesPoint> trials_batch(const std::vector<Config>& configs,
-                                      std::uint32_t trials, unsigned jobs) {
-  std::vector<std::function<TrialOutcome()>> tasks;
-  tasks.reserve(configs.size() * trials);
+/// The one config -> result map every fan-out runs on.
+template <typename Config, typename Run>
+auto map_configs(const std::vector<Config>& configs, unsigned jobs, Run run) {
+  using R = decltype(run(configs.front()));
+  std::vector<std::function<R()>> tasks;
+  tasks.reserve(configs.size());
   for (const Config& cfg : configs) {
-    for (const std::uint64_t seed : trial_seeds(cfg.seed, trials)) {
-      Config trial_cfg = cfg;
-      trial_cfg.seed = seed;
-      tasks.push_back([trial_cfg]() -> TrialOutcome {
-        const RunResult r = dispatch(trial_cfg);
-        return TrialOutcome{r.runtime_seconds, r.events_fired, r.faults};
-      });
-    }
+    tasks.push_back([cfg, run] { return run(cfg); });
   }
-  const std::vector<TrialOutcome> outcomes = BatchRunner(jobs).map(std::move(tasks));
-  std::vector<SeriesPoint> points;
-  points.reserve(configs.size());
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    RunningStats stats;
-    std::uint64_t events = 0;
-    SeriesPoint point;
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      const TrialOutcome& o = outcomes[c * trials + t];
-      stats.add(o.runtime_seconds);
-      events += o.events_fired;
-      for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-        point.fault_counts[k] += o.faults.count[k];
-        point.fault_cycles[k] += o.faults.total_cycles[k];
-      }
-    }
-    point.mean_seconds = stats.mean();
-    point.stdev_seconds = stats.stdev();
-    point.trials = trials;
-    point.events = events;
-    points.push_back(point);
-  }
-  return points;
+  return BatchRunner(jobs).map(std::move(tasks));
 }
 
 bool same_verify(const VerifyConfig& a, const VerifyConfig& b) {
@@ -79,72 +48,45 @@ bool same_verify(const VerifyConfig& a, const VerifyConfig& b) {
   return a.audit == b.audit && a.audit_on_injection == b.audit_on_injection;
 }
 
-/// Two single-node configs shape the same pre-measurement world iff
-/// every field that acts before the job launches matches (the snapshot
-/// contract in experiment.hpp); app, app_cores, duration_scale and
-/// introspect only matter after the warmup capture point.
-bool same_world(const SingleNodeRunConfig& a, const SingleNodeRunConfig& b) {
-  return a.manager == b.manager && a.commodity.builds == b.commodity.builds &&
-         a.commodity.jobs_per_build == b.commodity.jobs_per_build &&
-         a.seed == b.seed && a.footprint_scale == b.footprint_scale &&
-         a.warmup_seconds == b.warmup_seconds &&
-         a.trace.categories == b.trace.categories &&
-         a.trace.capacity == b.trace.capacity && same_verify(a.verify, b.verify);
-}
-
-/// Scaling runs additionally pin the cluster shape; only app and
-/// duration_scale act after the capture point (the ranks launch into an
-/// already-aged cluster), so those are the free measurement knobs.
-bool same_world(const ScalingRunConfig& a, const ScalingRunConfig& b) {
-  return a.manager == b.manager && a.commodity.builds == b.commodity.builds &&
-         a.commodity.jobs_per_build == b.commodity.jobs_per_build &&
-         a.nodes == b.nodes && a.ranks_per_node == b.ranks_per_node &&
-         a.seed == b.seed && a.footprint_scale == b.footprint_scale &&
-         a.warmup_seconds == b.warmup_seconds &&
-         a.trace.categories == b.trace.categories &&
-         a.trace.capacity == b.trace.capacity && same_verify(a.verify, b.verify);
-}
-
-template <typename Config>
-snapshot::WorldImage capture_dispatch(const Config& cfg) {
-  if constexpr (std::is_same_v<Config, SingleNodeRunConfig>) {
-    return capture_single_node(cfg);
-  } else {
-    return capture_scaling(cfg);
+/// Two configs shape the same pre-measurement world iff every field that
+/// acts before the job launches matches (the snapshot contract in
+/// experiment.hpp). Scaling runs additionally pin the cluster shape;
+/// only app and duration_scale act after their capture point.
+template <JobConfig Config>
+bool same_world(const Config& a, const Config& b) {
+  bool same = a.manager == b.manager && a.commodity.builds == b.commodity.builds &&
+              a.commodity.jobs_per_build == b.commodity.jobs_per_build &&
+              a.seed == b.seed && a.footprint_scale == b.footprint_scale &&
+              a.warmup_seconds == b.warmup_seconds &&
+              a.trace.categories == b.trace.categories &&
+              a.trace.capacity == b.trace.capacity && same_verify(a.verify, b.verify);
+  if constexpr (std::is_same_v<Config, ScalingRunConfig>) {
+    same = same && a.nodes == b.nodes && a.ranks_per_node == b.ranks_per_node;
   }
+  return same;
 }
 
-template <typename Config>
-RunResult dispatch(const Config& cfg, const snapshot::WorldImage& image) {
-  if constexpr (std::is_same_v<Config, SingleNodeRunConfig>) {
-    return run_single_node(cfg, image);
-  } else {
-    return run_scaling(cfg, image);
-  }
-}
-
-template <typename Config>
-std::vector<SeriesPoint> trials_snapshotted(const std::vector<Config>& configs,
-                                            std::uint32_t trials, unsigned jobs) {
-  // Group configs sharing a pre-measurement world, first-appearance order.
+/// The one trial fan-out. With `group` on, configs sharing a
+/// pre-measurement world form one group (first-appearance order); with
+/// it off every config is alone in its group. One task per (group,
+/// trial): a singleton runs straight, a larger group ages once, captures
+/// and resumes every member. Either way each config's trials fold in t
+/// order, so grouping never changes a bit of the output.
+template <JobConfig Config>
+std::vector<SeriesPoint> fan_out(const std::vector<Config>& configs, std::uint32_t trials,
+                                 unsigned jobs, bool group) {
   std::vector<std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    bool placed = false;
-    for (std::vector<std::size_t>& g : groups) {
-      if (same_world(configs[g.front()], configs[i])) {
-        g.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
+    const auto shared = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return group && same_world(configs[g.front()], configs[i]);
+    });
+    if (shared == groups.end()) {
       groups.push_back({i});
+    } else {
+      shared->push_back(i);
     }
   }
-  // One task per (group, trial): age once, capture, resume every member.
-  // Singleton groups run straight — identical output by the resumed-run
-  // equality contract, without paying for capture + restore.
-  std::vector<std::function<std::vector<TrialOutcome>()>> tasks;
+  std::vector<std::function<std::vector<detail::TrialOutcome>()>> tasks;
   tasks.reserve(groups.size() * trials);
   for (const std::vector<std::size_t>& g : groups) {
     for (std::uint32_t t = 0; t < trials; ++t) {
@@ -156,59 +98,36 @@ std::vector<SeriesPoint> trials_snapshotted(const std::vector<Config>& configs,
         members.push_back(std::move(cfg));
       }
       tasks.push_back([members]() {
-        std::vector<TrialOutcome> out;
+        std::vector<detail::TrialOutcome> out;
         out.reserve(members.size());
         if (members.size() == 1) {
-          const RunResult r = dispatch(members.front());
-          out.push_back(TrialOutcome{r.runtime_seconds, r.events_fired, r.faults});
+          out.push_back(detail::outcome(run_one(members.front())));
         } else {
-          const snapshot::WorldImage image = capture_dispatch(members.front());
+          const snapshot::WorldImage image = capture(members.front());
           for (const Config& cfg : members) {
-            const RunResult r = dispatch(cfg, image);
-            out.push_back(TrialOutcome{r.runtime_seconds, r.events_fired, r.faults});
+            out.push_back(detail::outcome(run_one(cfg, image)));
           }
         }
         return out;
       });
     }
   }
-  const std::vector<std::vector<TrialOutcome>> outcomes =
+  const std::vector<std::vector<detail::TrialOutcome>> outcomes =
       BatchRunner(jobs).map(std::move(tasks));
-  // Fold per config with trials in t order — the same accumulation order
-  // as run_trials_batch, so the points match bit for bit.
-  std::vector<RunningStats> stats(configs.size());
-  std::vector<SeriesPoint> points(configs.size());
+  std::vector<std::vector<detail::TrialOutcome>> per_config(configs.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     for (std::uint32_t t = 0; t < trials; ++t) {
-      const std::vector<TrialOutcome>& row = outcomes[gi * trials + t];
       for (std::size_t m = 0; m < groups[gi].size(); ++m) {
-        const std::size_t c = groups[gi][m];
-        const TrialOutcome& o = row[m];
-        stats[c].add(o.runtime_seconds);
-        points[c].events += o.events_fired;
-        for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-          points[c].fault_counts[k] += o.faults.count[k];
-          points[c].fault_cycles[k] += o.faults.total_cycles[k];
-        }
+        per_config[groups[gi][m]].push_back(outcomes[gi * trials + t][m]);
       }
     }
   }
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    points[c].mean_seconds = stats[c].mean();
-    points[c].stdev_seconds = stats[c].stdev();
-    points[c].trials = trials;
+  std::vector<SeriesPoint> points;
+  points.reserve(configs.size());
+  for (const std::vector<detail::TrialOutcome>& trial_outcomes : per_config) {
+    points.push_back(detail::fold_trials(trial_outcomes));
   }
   return points;
-}
-
-template <typename Config>
-std::vector<RunResult> batch(const std::vector<Config>& configs, unsigned jobs) {
-  std::vector<std::function<RunResult()>> tasks;
-  tasks.reserve(configs.size());
-  for (const Config& cfg : configs) {
-    tasks.push_back([cfg] { return dispatch(cfg); });
-  }
-  return BatchRunner(jobs).map(std::move(tasks));
 }
 
 } // namespace
@@ -237,83 +156,51 @@ std::vector<std::uint64_t> trial_seeds(std::uint64_t base, std::uint32_t trials)
   return seeds;
 }
 
-SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials, unsigned jobs) {
-  return trials_batch(std::vector<SingleNodeRunConfig>{std::move(config)}, trials,
-                      jobs)[0];
+template <JobConfig Config>
+SeriesPoint run_trials(const Config& config, std::uint32_t trials, unsigned jobs) {
+  return fan_out(std::vector<Config>{config}, trials, jobs, /*group=*/false)[0];
 }
 
-SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials, unsigned jobs) {
-  return trials_batch(std::vector<ScalingRunConfig>{std::move(config)}, trials, jobs)[0];
-}
-
-std::vector<SeriesPoint> run_trials_batch(const std::vector<SingleNodeRunConfig>& configs,
+template <JobConfig Config>
+std::vector<SeriesPoint> run_trials_batch(const std::vector<Config>& configs,
                                           std::uint32_t trials, unsigned jobs) {
-  return trials_batch(configs, trials, jobs);
+  return fan_out(configs, trials, jobs, /*group=*/false);
 }
 
-std::vector<SeriesPoint> run_trials_batch(const std::vector<ScalingRunConfig>& configs,
-                                          std::uint32_t trials, unsigned jobs) {
-  return trials_batch(configs, trials, jobs);
+template <JobConfig Config>
+std::vector<SeriesPoint> run_trials_snapshotted(const std::vector<Config>& configs,
+                                                std::uint32_t trials, unsigned jobs) {
+  return fan_out(configs, trials, jobs, /*group=*/true);
 }
 
-std::vector<RunResult> run_batch(const std::vector<SingleNodeRunConfig>& configs,
-                                 unsigned jobs) {
-  return batch(configs, jobs);
-}
-
-std::vector<RunResult> run_batch(const std::vector<ScalingRunConfig>& configs,
-                                 unsigned jobs) {
-  return batch(configs, jobs);
+template <typename Config>
+std::vector<typename RunOf<Config>::Result> run_batch(const std::vector<Config>& configs,
+                                                      unsigned jobs) {
+  return map_configs(configs, jobs, [](const Config& c) { return run_one(c); });
 }
 
 std::vector<ServerRunResult> run_server_trials(const ServerRunConfig& config,
                                                std::uint32_t trials, unsigned jobs) {
-  std::vector<std::function<ServerRunResult()>> tasks;
-  tasks.reserve(trials);
-  for (const std::uint64_t seed : trial_seeds(config.seed, trials)) {
+  return map_configs(trial_seeds(config.seed, trials), jobs, [config](std::uint64_t seed) {
     ServerRunConfig trial_cfg = config;
     trial_cfg.seed = seed;
-    tasks.push_back([trial_cfg] { return run_server(trial_cfg); });
-  }
-  return BatchRunner(jobs).map(std::move(tasks));
+    return run_server(trial_cfg);
+  });
 }
 
-std::vector<SeriesPoint> run_trials_snapshotted(
-    const std::vector<SingleNodeRunConfig>& configs, std::uint32_t trials,
-    unsigned jobs) {
-  return trials_snapshotted(configs, trials, jobs);
-}
-
-std::vector<SeriesPoint> run_trials_snapshotted(
-    const std::vector<ScalingRunConfig>& configs, std::uint32_t trials,
-    unsigned jobs) {
-  return trials_snapshotted(configs, trials, jobs);
-}
-
-std::vector<ServerRunResult> run_server_trials_resumed(const ServerRunConfig& config,
-                                                       std::uint32_t trials,
-                                                       unsigned jobs) {
-  std::vector<std::function<ServerRunResult()>> tasks;
-  tasks.reserve(trials);
-  for (const std::uint64_t seed : trial_seeds(config.seed, trials)) {
-    ServerRunConfig trial_cfg = config;
-    trial_cfg.seed = seed;
-    tasks.push_back([trial_cfg] {
-      const snapshot::WorldImage image = capture_server(trial_cfg);
-      return run_server(trial_cfg, image);
-    });
-  }
-  return BatchRunner(jobs).map(std::move(tasks));
-}
-
-std::vector<ServerRunResult> run_server_batch(const std::vector<ServerRunConfig>& configs,
-                                              unsigned jobs) {
-  std::vector<std::function<ServerRunResult()>> tasks;
-  tasks.reserve(configs.size());
-  for (const ServerRunConfig& cfg : configs) {
-    tasks.push_back([cfg] { return run_server(cfg); });
-  }
-  return BatchRunner(jobs).map(std::move(tasks));
-}
+template SeriesPoint run_trials(const SingleNodeRunConfig&, std::uint32_t, unsigned);
+template SeriesPoint run_trials(const ScalingRunConfig&, std::uint32_t, unsigned);
+template std::vector<SeriesPoint> run_trials_batch(const std::vector<SingleNodeRunConfig>&,
+                                                   std::uint32_t, unsigned);
+template std::vector<SeriesPoint> run_trials_batch(const std::vector<ScalingRunConfig>&,
+                                                   std::uint32_t, unsigned);
+template std::vector<SeriesPoint> run_trials_snapshotted(
+    const std::vector<SingleNodeRunConfig>&, std::uint32_t, unsigned);
+template std::vector<SeriesPoint> run_trials_snapshotted(const std::vector<ScalingRunConfig>&,
+                                                         std::uint32_t, unsigned);
+template std::vector<RunResult> run_batch(const std::vector<SingleNodeRunConfig>&, unsigned);
+template std::vector<RunResult> run_batch(const std::vector<ScalingRunConfig>&, unsigned);
+template std::vector<ServerRunResult> run_batch(const std::vector<ServerRunConfig>&, unsigned);
+template std::vector<SmpRunResult> run_batch(const std::vector<SmpRunConfig>&, unsigned);
 
 } // namespace hpmmap::harness

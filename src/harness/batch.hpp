@@ -18,6 +18,7 @@
 #include <exception>
 #include <functional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,8 +29,8 @@ namespace hpmmap::harness {
 /// max(1, std::thread::hardware_concurrency).
 [[nodiscard]] unsigned hardware_jobs() noexcept;
 
-/// Process-wide default parallelism used by run_trials(config, trials)
-/// and everything layered on it. 0 = hardware_jobs(). The library
+/// Process-wide default parallelism of run_trials and run_batch when no
+/// jobs value is given. 0 = hardware_jobs(). The library
 /// default is 1 (serial) so embedders opt in; the CLI tools set it from
 /// --jobs (whose own default is the hardware concurrency).
 void set_default_jobs(unsigned jobs) noexcept;
@@ -106,60 +107,59 @@ class BatchRunner {
 [[nodiscard]] std::vector<std::uint64_t> trial_seeds(std::uint64_t base,
                                                      std::uint32_t trials);
 
-/// Parallel trial loops: identical results to the serial run_trials for
-/// every jobs value (0 = hardware).
-[[nodiscard]] SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials,
-                                     unsigned jobs);
-[[nodiscard]] SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials,
-                                     unsigned jobs);
+/// The config types whose runs are MPI jobs and fold into SeriesPoints.
+template <typename Config>
+concept JobConfig =
+    std::is_same_v<Config, SingleNodeRunConfig> || std::is_same_v<Config, ScalingRunConfig>;
+
+/// Mean/stdev of runtime over trial_seeds(config.seed, trials) — one
+/// point of Figure 7/8. Byte-identical for every jobs value (0 =
+/// hardware).
+template <JobConfig Config>
+[[nodiscard]] SeriesPoint run_trials(const Config& config, std::uint32_t trials,
+                                     unsigned jobs = default_jobs());
 
 /// Whole-sweep fan-out: one SeriesPoint per config, parallelized at
 /// (config, trial) granularity so a figure sweep keeps every worker busy
 /// even with few trials per point. Output order == input order.
-[[nodiscard]] std::vector<SeriesPoint> run_trials_batch(
-    const std::vector<SingleNodeRunConfig>& configs, std::uint32_t trials,
-    unsigned jobs = 0);
-[[nodiscard]] std::vector<SeriesPoint> run_trials_batch(
-    const std::vector<ScalingRunConfig>& configs, std::uint32_t trials,
-    unsigned jobs = 0);
+template <JobConfig Config>
+[[nodiscard]] std::vector<SeriesPoint> run_trials_batch(const std::vector<Config>& configs,
+                                                        std::uint32_t trials,
+                                                        unsigned jobs = 0);
 
-/// Fan a heterogeneous config list out one-run-per-task; full RunResults
-/// (trace buffers included) in input order.
-[[nodiscard]] std::vector<RunResult> run_batch(
-    const std::vector<SingleNodeRunConfig>& configs, unsigned jobs = 0);
-[[nodiscard]] std::vector<RunResult> run_batch(
-    const std::vector<ScalingRunConfig>& configs, unsigned jobs = 0);
+/// run_trials_batch with amortized aging (DESIGN.md §12.4): configs that
+/// shape the same pre-measurement world (everything matching except the
+/// measurement-phase fields — see the snapshot contract in
+/// experiment.hpp; scaling configs also pin nodes and ranks_per_node)
+/// are grouped, each group's world is aged ONCE per trial seed and
+/// captured, and every member resumes from the captured image. Singleton
+/// groups run straight. Byte-identical to run_trials_batch for any jobs
+/// value; an N-member group pays for aging once instead of N times.
+template <JobConfig Config>
+[[nodiscard]] std::vector<SeriesPoint> run_trials_snapshotted(
+    const std::vector<Config>& configs, std::uint32_t trials, unsigned jobs = 0);
 
-/// Serving runs fan out the same way: full per-trial results in
-/// (config, trial-seed) submission order, byte-identical for any jobs
-/// value. Trial t of config c uses trial_seeds(c.seed, trials)[t].
+/// The result type of one run of each config type.
+template <typename Config>
+struct RunOf;
+template <>
+struct RunOf<SingleNodeRunConfig> { using Result = RunResult; };
+template <>
+struct RunOf<ScalingRunConfig> { using Result = RunResult; };
+template <>
+struct RunOf<ServerRunConfig> { using Result = ServerRunResult; };
+template <>
+struct RunOf<SmpRunConfig> { using Result = SmpRunResult; };
+
+/// Fan a config list out one run per task; full results (trace buffers
+/// included) in input order, byte-identical for any jobs value.
+template <typename Config>
+[[nodiscard]] std::vector<typename RunOf<Config>::Result> run_batch(
+    const std::vector<Config>& configs, unsigned jobs = default_jobs());
+
+/// Serving trials: full per-trial results in trial-seed order; trial t
+/// uses trial_seeds(config.seed, trials)[t].
 [[nodiscard]] std::vector<ServerRunResult> run_server_trials(
     const ServerRunConfig& config, std::uint32_t trials, unsigned jobs = 0);
-
-/// Amortized-aging sweep (DESIGN.md §12): configs that shape the same
-/// pre-measurement world — everything matching except app, app_cores,
-/// duration_scale and introspect — are grouped, each group's world is
-/// aged ONCE per trial seed and captured, and every member resumes from
-/// the captured image for its measurement phase. Singleton groups run
-/// straight. Byte-identical SeriesPoints to run_trials_batch for any
-/// jobs value; an N-member group pays for aging once instead of N times.
-[[nodiscard]] std::vector<SeriesPoint> run_trials_snapshotted(
-    const std::vector<SingleNodeRunConfig>& configs, std::uint32_t trials,
-    unsigned jobs = 0);
-/// Scaling flavour: configs matching in everything but app and
-/// duration_scale share one aged cluster per trial (nodes, ranks_per_node
-/// and the cluster seed pin the world shape).
-[[nodiscard]] std::vector<SeriesPoint> run_trials_snapshotted(
-    const std::vector<ScalingRunConfig>& configs, std::uint32_t trials,
-    unsigned jobs = 0);
-
-/// run_server_trials through the snapshot path: each trial captures its
-/// world at the warmup point and resumes it for measurement. Results are
-/// byte-identical to run_server_trials — the equality the serving
-/// snapshot test pins.
-[[nodiscard]] std::vector<ServerRunResult> run_server_trials_resumed(
-    const ServerRunConfig& config, std::uint32_t trials, unsigned jobs = 0);
-[[nodiscard]] std::vector<ServerRunResult> run_server_batch(
-    const std::vector<ServerRunConfig>& configs, unsigned jobs = 0);
 
 } // namespace hpmmap::harness

@@ -9,8 +9,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
-#include "common/units.hpp"
 #include "harness/batch.hpp"
 #include "harness/detail.hpp"
 #include "introspect/procfs.hpp"
@@ -96,16 +94,17 @@ class Bound {
   NodeGroup& g_;
 };
 
+/// run_scaling's world, one engine per node: the same per-node recipe
+/// (detail::layout/node_config/add_builds), each node booted and its
+/// builds constructed under its own group context.
 struct ClusterWorld {
   ClusterRunConfig config;
-  hw::MachineSpec machine = hw::sandia_xeon_node();
-  // §IV: 20 of 24 GB offlined per node, split across the two zones.
-  std::uint64_t pool = 10 * GiB;
+  detail::WorldLayout layout;
   std::vector<std::unique_ptr<NodeGroup>> groups;
   sim::ParallelCoordinator coord;
 
   explicit ClusterWorld(const ClusterRunConfig& cfg)
-      : config(cfg), coord(cfg.cluster_jobs) {
+      : config(cfg), layout(detail::layout(cfg.scaling)), coord(cfg.cluster_jobs) {
     const ScalingRunConfig& sc = config.scaling;
     HPMMAP_ASSERT(sc.nodes >= 1, "cluster needs at least one node");
     HPMMAP_ASSERT(cluster::topology_supports(config.topology, sc.nodes),
@@ -136,25 +135,16 @@ struct ClusterWorld {
     for (std::uint32_t n = 0; n < sc.nodes; ++n) {
       NodeGroup& g = *groups[n];
       Bound b(g);
-      os::NodeConfig nc = detail::node_config_for(
-          sc.manager, machine, pool, sc.seed + 7919ull * n, "xeon" + std::to_string(n));
-      nc.aged_boot = true;
-      g.node.emplace(g.engine, std::move(nc));
+      g.node.emplace(g.engine, detail::node_config(layout, sc.manager, sc.seed, n));
       g.verify.emplace(sc.verify, sc.seed);
     }
     // Debug-mode audits cover the first node, as in run_scaling.
     groups.front()->verify->audit_on_fire(*groups.front()->node);
 
-    Rng rng(sc.seed);
     for (std::uint32_t n = 0; n < sc.nodes; ++n) {
       NodeGroup& g = *groups[n];
       Bound b(g);
-      for (std::uint32_t bld = 0; bld < sc.commodity.builds; ++bld) {
-        workloads::KernelBuildConfig bc;
-        bc.jobs = sc.commodity.jobs_per_build;
-        g.builds.push_back(std::make_unique<workloads::KernelBuild>(
-            *g.node, bc, rng.fork("build").fork(n * 16 + bld)));
-      }
+      detail::add_builds(g.builds, *g.node, sc.commodity, sc.seed, n);
     }
   }
 
@@ -165,9 +155,7 @@ struct ClusterWorld {
         build->start();
       }
     }
-    const double warmup =
-        config.scaling.commodity.builds > 0 ? config.scaling.warmup_seconds : 0.1;
-    coord.run_phase_until(machine.cycles(warmup));
+    coord.run_phase_until(layout.machine.cycles(detail::warmup_seconds(config.scaling)));
   }
 };
 
@@ -176,23 +164,14 @@ RunResult measure_cluster(ClusterWorld& w) {
   const std::uint32_t nodes = sc.nodes;
   const std::uint64_t total_ranks =
       static_cast<std::uint64_t>(nodes) * sc.ranks_per_node;
-  Rng rng(sc.seed);
 
-  // Identical profile arithmetic to measure_scaling (§IV-C rank budget).
-  workloads::AppProfile app = detail::scaled_profile(
-      sc.app, w.machine.clock_hz, sc.footprint_scale, sc.duration_scale);
-  const std::uint64_t budget_per_rank =
-      (2 * w.pool * 92 / 100) / sc.ranks_per_node - app.misc_bytes;
-  app.bytes_per_rank = align_up(
-      static_cast<std::uint64_t>(static_cast<double>(budget_per_rank) *
-                                 sc.footprint_scale),
-      kLargePageSize);
+  const workloads::AppProfile app = detail::scaling_profile(sc, w.layout);
+  const double clock_hz = w.layout.machine.clock_hz;
 
-  cluster::EthernetSpec eth;
   // One comm stream for the whole job, as on the shared engine: the
   // controller draws each barrier's collective cost exactly once.
   workloads::CommModel comm_model = cluster::ethernet_comm(
-      eth, w.machine.clock_hz, nodes, rng.fork("net"), w.config.topology);
+      cluster::EthernetSpec{}, clock_hz, nodes, Rng(sc.seed).fork("net"), w.config.topology);
 
   // Local barrier arrivals, one slot per group. Each group's hook writes
   // only its own slot from inside its engine slice; the coordinator's
@@ -225,9 +204,8 @@ RunResult measure_cluster(ClusterWorld& w) {
 
   // Rendezvous loop: run every engine to its local barrier arrival (the
   // hook stops it), resolve the global barrier single-threaded, repeat.
-  // No cross-engine message ever lands behind a destination clock: the
-  // release time T + comm is >= the max arrival T >= every local clock
-  // (the coordinator asserts this on each delivery regardless).
+  // The release never lands behind an engine's clock: the release time
+  // T + comm is >= the max arrival T >= every local clock.
   while (true) {
     w.coord.run_phase();
     bool all_arrived = true;
@@ -285,7 +263,7 @@ RunResult measure_cluster(ClusterWorld& w) {
   NodeGroup& g0 = *w.groups.front();
   RunResult result;
   result.runtime_seconds = g0.job->runtime_seconds();
-  result.clock_hz = w.machine.clock_hz;
+  result.clock_hz = clock_hz;
   for (auto& g : w.groups) {
     const mm::FaultStats fs = g->job->aggregate_faults();
     for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
@@ -365,23 +343,12 @@ RunResult run_cluster(const ClusterRunConfig& config) {
 }
 
 SeriesPoint run_cluster_trials(ClusterRunConfig config, std::uint32_t trials) {
-  RunningStats stats;
-  SeriesPoint point;
+  std::vector<detail::TrialOutcome> outcomes;
   for (const std::uint64_t seed : trial_seeds(config.scaling.seed, trials)) {
-    ClusterRunConfig trial = config;
-    trial.scaling.seed = seed;
-    const RunResult r = run_cluster(trial);
-    stats.add(r.runtime_seconds);
-    point.events += r.events_fired;
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      point.fault_counts[k] += r.faults.count[k];
-      point.fault_cycles[k] += r.faults.total_cycles[k];
-    }
+    config.scaling.seed = seed;
+    outcomes.push_back(detail::outcome(run_cluster(config)));
   }
-  point.mean_seconds = stats.mean();
-  point.stdev_seconds = stats.stdev();
-  point.trials = trials;
-  return point;
+  return detail::fold_trials(outcomes);
 }
 
 } // namespace hpmmap::harness

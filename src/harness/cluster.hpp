@@ -4,11 +4,10 @@
 // engine; fine at the paper's 8 nodes, but a 256-node (1024-rank) run
 // serializes hundreds of millions of independent events through a single
 // queue. run_cluster() gives every node its own sim::Engine and drives
-// them from a sim::ParallelCoordinator worker pool, synchronizing
-// conservatively: the BSP job's barrier is the only cross-node coupling,
-// so engines run freely between barriers (the rendezvous specialization
-// of conservative lookahead — see DESIGN.md §13) and the controller
-// resolves each barrier with a single topology-aware collective draw.
+// them from a sim::ParallelCoordinator worker pool. The BSP job's
+// barrier is the only cross-node coupling, so engines run freely
+// between barriers (DESIGN.md §13) and the controller resolves each
+// barrier with a single topology-aware collective draw.
 //
 // Determinism contract:
 //   - any --cluster-jobs value (including 1) produces byte-identical

@@ -3,18 +3,43 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
+#include "common/units.hpp"
+#include "hw/machine.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace hpmmap::harness::detail {
 
-os::NodeConfig node_config_for(Manager manager, const hw::MachineSpec& machine,
-                               std::uint64_t offline_per_zone, std::uint64_t seed,
-                               const std::string& node_name) {
+WorldLayout layout(const SingleNodeRunConfig& config) {
+  // §IV: 12 of 16 GB reserved/offlined, split across the two zones.
+  // Scaled-down runs (tests) reserve proportionally less so the Linux
+  // side keeps its 4 GB.
+  const std::uint64_t pool = std::min<std::uint64_t>(
+      align_up(static_cast<std::uint64_t>(static_cast<double>(6 * GiB) *
+                                          config.footprint_scale),
+               kMemorySectionSize),
+      6 * GiB);
+  return {hw::dell_r415(), pool, 1, "r415", false};
+}
+
+WorldLayout layout(const ScalingRunConfig& config) {
+  // §IV: 20 of 24 GB offlined per node, split across the two zones.
+  return {hw::sandia_xeon_node(), 10 * GiB, config.nodes, "xeon", true};
+}
+
+WorldLayout layout(const ServerRunConfig&) {
+  // Same reservation split as the single-node runs: the serving side
+  // gets the 12 GB pool/offline region, the commodity side keeps 4 GB.
+  return {hw::dell_r415(), 6 * GiB, 1, "r415", false};
+}
+
+os::NodeConfig node_config(const WorldLayout& layout, Manager manager, std::uint64_t seed,
+                           std::uint32_t n) {
   os::NodeConfig cfg;
-  cfg.machine = machine;
-  cfg.seed = seed;
-  cfg.name = node_name;
+  cfg.machine = layout.machine;
+  cfg.seed = seed + 7919ull * n;
+  cfg.name = layout.numbered ? layout.name + std::to_string(n) : layout.name;
   switch (manager) {
     case Manager::kThp:
       cfg.thp_enabled = true;
@@ -23,19 +48,31 @@ os::NodeConfig node_config_for(Manager manager, const hw::MachineSpec& machine,
       // §IV: "THP was disabled and Linux had no large page support for
       // the commodity workload".
       cfg.thp_enabled = false;
-      cfg.hugetlb_pool_per_zone = offline_per_zone;
+      cfg.hugetlb_pool_per_zone = layout.pool;
       break;
     case Manager::kHpmmap: {
       // §IV: "HPMMAP managed the HPC workload while THP managed the
       // commodity workload".
       cfg.thp_enabled = true;
       core::ModuleConfig mod;
-      mod.offline_bytes_per_zone = offline_per_zone;
+      mod.offline_bytes_per_zone = layout.pool;
       cfg.hpmmap = mod;
       break;
     }
   }
   return cfg;
+}
+
+void add_builds(std::vector<std::unique_ptr<workloads::KernelBuild>>& builds, os::Node& node,
+                const workloads::CommodityProfile& commodity, std::uint64_t seed,
+                std::uint32_t n) {
+  const Rng rng(seed);
+  for (std::uint32_t b = 0; b < commodity.builds; ++b) {
+    workloads::KernelBuildConfig bc;
+    bc.jobs = commodity.jobs_per_build;
+    builds.push_back(std::make_unique<workloads::KernelBuild>(
+        node, bc, rng.fork("build").fork(n * 16 + b)));
+  }
 }
 
 os::MmPolicy policy_for(Manager manager) {
@@ -77,6 +114,19 @@ workloads::AppProfile scaled_profile(const std::string& app, double clock_hz,
   prof.iterations = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(prof.iterations) * duration_scale));
   return prof;
+}
+
+workloads::AppProfile scaling_profile(const ScalingRunConfig& config,
+                                      const WorldLayout& layout) {
+  workloads::AppProfile app = scaled_profile(config.app, layout.machine.clock_hz,
+                                             config.footprint_scale, config.duration_scale);
+  const std::uint64_t budget_per_rank =
+      (2 * layout.pool * 92 / 100) / config.ranks_per_node - app.misc_bytes;
+  app.bytes_per_rank = align_up(
+      static_cast<std::uint64_t>(static_cast<double>(budget_per_rank) *
+                                 config.footprint_scale),
+      kLargePageSize);
+  return app;
 }
 
 void begin_tracing(const TraceConfig& cfg, std::uint64_t seed) {
@@ -166,6 +216,27 @@ RunResult collect(workloads::MpiJob& job, os::Node& first_node, const TraceConfi
   fill_by_kind(result, trace_cfg);
   fill_node_stats(result, first_node);
   return result;
+}
+
+TrialOutcome outcome(const RunResult& r) {
+  return TrialOutcome{r.runtime_seconds, r.events_fired, r.faults};
+}
+
+SeriesPoint fold_trials(const std::vector<TrialOutcome>& trials) {
+  RunningStats stats;
+  SeriesPoint point;
+  for (const TrialOutcome& o : trials) {
+    stats.add(o.runtime_seconds);
+    point.events += o.events_fired;
+    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+      point.fault_counts[k] += o.faults.count[k];
+      point.fault_cycles[k] += o.faults.total_cycles[k];
+    }
+  }
+  point.mean_seconds = stats.mean();
+  point.stdev_seconds = stats.stdev();
+  point.trials = static_cast<std::uint32_t>(trials.size());
+  return point;
 }
 
 } // namespace hpmmap::harness::detail

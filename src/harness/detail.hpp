@@ -1,13 +1,13 @@
-// Shared internals of the experiment harness run shapes.
-//
-// Everything here used to live in experiment.cpp's anonymous namespace;
-// the PDES cluster harness (harness/cluster.cpp) builds per-node worlds
-// out of the same pieces — node configuration, §IV rank pinning, profile
-// scaling, trace bracketing, result collection, verification session —
-// so they moved behind this internal header. Not part of the public
-// harness API; include from harness/*.cpp only.
+// Shared internals of the experiment harness run shapes: the per-node
+// world recipe (machine, pool, node naming and seeding, commodity
+// builds), §IV rank pinning, profile scaling, trace bracketing, result
+// collection, the trial fold and the verification session. The
+// shared-engine worlds (harness/experiment.cpp) and the per-node-engine
+// cluster (harness/cluster.cpp) are both built from these pieces. Not
+// part of the public harness API; include from harness/*.cpp only.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -16,14 +16,44 @@
 #include "harness/experiment.hpp"
 #include "os/node.hpp"
 #include "verify/audit.hpp"
+#include "workloads/kernel_build.hpp"
 #include "workloads/mpi_app.hpp"
 
 namespace hpmmap::harness::detail {
 
-[[nodiscard]] os::NodeConfig node_config_for(Manager manager, const hw::MachineSpec& machine,
-                                             std::uint64_t offline_per_zone,
-                                             std::uint64_t seed,
-                                             const std::string& node_name);
+/// What differs between the worlds the harness builds: the machine, the
+/// memory offlined (or reserved for hugetlbfs) per zone, the node count
+/// and the node names. Everything else about node n is one recipe:
+/// seeded `seed + 7919*n` (node_config), builds forked at `n*16 + b`
+/// (add_builds).
+struct WorldLayout {
+  hw::MachineSpec machine;
+  std::uint64_t pool = 0;
+  std::uint32_t nodes = 1;
+  std::string name; // node n is `name` + n when `numbered`
+  bool numbered = false;
+};
+
+[[nodiscard]] WorldLayout layout(const SingleNodeRunConfig& config);
+[[nodiscard]] WorldLayout layout(const ScalingRunConfig& config);
+[[nodiscard]] WorldLayout layout(const ServerRunConfig& config);
+
+/// Node n of a world under `manager`.
+[[nodiscard]] os::NodeConfig node_config(const WorldLayout& layout, Manager manager,
+                                         std::uint64_t seed, std::uint32_t n);
+
+/// Append node n's commodity builds to `builds`, constructed but not
+/// started (the constructor schedules nothing).
+void add_builds(std::vector<std::unique_ptr<workloads::KernelBuild>>& builds, os::Node& node,
+                const workloads::CommodityProfile& commodity, std::uint64_t seed,
+                std::uint32_t n);
+
+/// How long the builds churn before measurement; a short settle when
+/// nothing competes.
+template <typename Config>
+[[nodiscard]] double warmup_seconds(const Config& config) {
+  return config.commodity.builds > 0 ? config.warmup_seconds : 0.1;
+}
 
 [[nodiscard]] os::MmPolicy policy_for(Manager manager);
 
@@ -35,6 +65,12 @@ namespace hpmmap::harness::detail {
 [[nodiscard]] workloads::AppProfile scaled_profile(const std::string& app, double clock_hz,
                                                    double footprint_scale,
                                                    double duration_scale);
+
+/// §IV-C: inputs chosen "to maximize the memory utilization" — on the
+/// 24 GB nodes, a node's ranks split its reservation, not the
+/// single-node footprint.
+[[nodiscard]] workloads::AppProfile scaling_profile(const ScalingRunConfig& config,
+                                                    const WorldLayout& layout);
 
 /// Size and arm this thread's flight recorder for one run. Tracing is
 /// per-run-context state; runs bracket it, so this is enough.
@@ -56,6 +92,19 @@ void fill_node_stats(RunResult& result, os::Node& first_node);
 [[nodiscard]] RunResult collect(workloads::MpiJob& job, os::Node& first_node,
                                 const TraceConfig& trace_cfg, Cycles job_start,
                                 double clock_hz);
+
+/// What one trial contributes to a SeriesPoint.
+struct TrialOutcome {
+  double runtime_seconds = 0.0;
+  std::uint64_t events_fired = 0;
+  mm::FaultStats faults{};
+};
+
+[[nodiscard]] TrialOutcome outcome(const RunResult& r);
+
+/// Fold trials, in trial order, into one point: mean/stdev of runtime,
+/// events and per-kind faults summed.
+[[nodiscard]] SeriesPoint fold_trials(const std::vector<TrialOutcome>& trials);
 
 /// Arms a fault injector for one run; the destructor guarantees the next
 /// run's node boots against a disarmed injector even if the run throws.

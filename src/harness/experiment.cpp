@@ -1,15 +1,15 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "cluster/network.hpp"
-#include "harness/batch.hpp"
 #include "harness/detail.hpp"
 #include "common/assert.hpp"
-#include "common/units.hpp"
+#include "common/rng.hpp"
 #include "introspect/procfs.hpp"
 #include "os/node.hpp"
 #include "sim/engine.hpp"
@@ -24,151 +24,49 @@ namespace {
 
 // --- prepared worlds --------------------------------------------------------
 //
-// Each run shape splits into "prepare" (boot the machine, arm
+// Every run shape splits into "prepare" (boot the machine, arm
 // verification, construct the commodity builds) and "measure" (launch
-// the benchmark and collect). The straight path ages the world to the
+// the workload and collect). The straight path ages the world to the
 // warmup point between the two; the snapshot path either captures at
 // that point or skips aging entirely and overwrites the fresh world
 // with a captured image. Constructing every build before starting any
-// (instead of the old start-in-the-loop) is order-identical on the
-// engine: the constructor schedules nothing.
+// is order-identical on the engine: the constructor schedules nothing.
 
-struct SingleNodeWorld {
-  SingleNodeRunConfig config;
-  hw::MachineSpec machine = hw::dell_r415();
+/// N nodes on one engine, shaped by detail::layout(config).
+template <typename Config>
+struct World {
+  Config config;
+  detail::WorldLayout layout;
   sim::Engine engine;
-  std::optional<os::Node> node;
+  std::vector<std::unique_ptr<os::Node>> nodes;
   std::optional<detail::VerifySession> verify;
-  std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
+  std::vector<std::unique_ptr<workloads::KernelBuild>> builds; // node-major
 
-  SingleNodeWorld(const SingleNodeRunConfig& cfg, bool aged) : config(cfg) {
+  World(const Config& cfg, bool aged) : config(cfg), layout(detail::layout(cfg)) {
     detail::begin_tracing(config.trace, config.seed);
-    // §IV: 12 of 16 GB reserved/offlined, split across the two zones.
-    // Scaled-down runs (tests) reserve proportionally less so the Linux
-    // side keeps its 4 GB.
-    const std::uint64_t pool = std::min<std::uint64_t>(
-        align_up(static_cast<std::uint64_t>(static_cast<double>(6 * GiB) *
-                                            config.footprint_scale),
-                 kMemorySectionSize),
-        6 * GiB);
-    os::NodeConfig nc =
-        detail::node_config_for(config.manager, machine, pool, config.seed, "r415");
-    nc.aged_boot = aged; // a restore target skips aging — it gets overwritten
-    node.emplace(engine, std::move(nc));
+    for (std::uint32_t n = 0; n < layout.nodes; ++n) {
+      os::NodeConfig nc = detail::node_config(layout, config.manager, config.seed, n);
+      nc.aged_boot = aged; // a restore target skips aging — it gets overwritten
+      nodes.push_back(std::make_unique<os::Node>(engine, std::move(nc)));
+    }
     // Arm only after boot: the hugetlb reservation and module load assert
     // on allocation success and must never see injected failures.
+    // Debug-mode audits cover the first node (injections are global; the
+    // end-of-run audit walks every node).
     verify.emplace(config.verify, config.seed);
-    verify->audit_on_fire(*node);
-
-    Rng rng(config.seed);
-    for (std::uint32_t b = 0; b < config.commodity.builds; ++b) {
-      workloads::KernelBuildConfig bc;
-      bc.jobs = config.commodity.jobs_per_build;
-      builds.push_back(std::make_unique<workloads::KernelBuild>(
-          *node, bc, rng.fork("build").fork(b)));
+    verify->audit_on_fire(*nodes.front());
+    for (std::uint32_t n = 0; n < layout.nodes; ++n) {
+      detail::add_builds(builds, *nodes[n], config.commodity, config.seed, n);
     }
   }
 
   /// Let the builds reach steady state (page cache warm, fragmentation
-  /// developing) before the benchmark launches.
+  /// developing) before the workload launches.
   void age_to_warmup() {
     for (auto& build : builds) {
       build->start();
     }
-    const double warmup = config.commodity.builds > 0 ? config.warmup_seconds : 0.1;
-    engine.run_until(machine.cycles(warmup));
-  }
-
-  [[nodiscard]] std::vector<snapshot::BuildRef> build_refs() {
-    std::vector<snapshot::BuildRef> refs;
-    for (auto& build : builds) {
-      refs.push_back(snapshot::BuildRef{build.get(), 0});
-    }
-    return refs;
-  }
-};
-
-RunResult measure_single_node(SingleNodeWorld& w) {
-  const SingleNodeRunConfig& config = w.config;
-  sim::Engine& engine = w.engine;
-  os::Node& node = *w.node;
-
-  workloads::MpiJobConfig jc;
-  jc.app = detail::scaled_profile(config.app, w.machine.clock_hz, config.footprint_scale,
-                          config.duration_scale);
-  jc.policy = detail::policy_for(config.manager);
-  jc.ranks = detail::placements(node, config.app_cores);
-  workloads::MpiJob job(engine, jc);
-  const Cycles job_start = engine.now();
-  // Sampling brackets the job: the first sample lands at job_start
-  // (= trace_t0), and daemon scheduling means the sampler never extends
-  // the run past job completion.
-  introspect::TelemetrySampler sampler(
-      engine, {config.introspect.sample_interval, config.introspect.max_samples});
-  sampler.add_node(node);
-  if (config.introspect.sampling()) {
-    sampler.start();
-  }
-  job.start([&engine] { engine.stop(); });
-  engine.run();
-  HPMMAP_ASSERT(job.done(), "engine drained before the job completed");
-
-  for (auto& build : w.builds) {
-    build->stop();
-  }
-  RunResult result = detail::collect(job, node, config.trace, job_start, w.machine.clock_hz);
-  result.events_fired = engine.events_fired();
-  result.telemetry = sampler.take();
-  if (config.introspect.procfs_dump) {
-    result.procfs_text = introspect::procfs_dump(node);
-  }
-  w.verify->finish(result, {&node});
-  return result;
-}
-
-struct ScalingWorld {
-  ScalingRunConfig config;
-  hw::MachineSpec machine = hw::sandia_xeon_node();
-  // §IV: 20 of 24 GB offlined per node, split across the two zones.
-  std::uint64_t pool = 10 * GiB;
-  sim::Engine engine;
-  std::vector<std::unique_ptr<os::Node>> nodes;
-  std::optional<detail::VerifySession> verify;
-  std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
-  std::vector<std::uint32_t> build_nodes;
-
-  ScalingWorld(const ScalingRunConfig& cfg, bool aged) : config(cfg) {
-    detail::begin_tracing(config.trace, config.seed);
-    for (std::uint32_t n = 0; n < config.nodes; ++n) {
-      os::NodeConfig nc =
-          detail::node_config_for(config.manager, machine, pool, config.seed + 7919ull * n,
-                          "xeon" + std::to_string(n));
-      nc.aged_boot = aged;
-      nodes.push_back(std::make_unique<os::Node>(engine, std::move(nc)));
-    }
-    verify.emplace(config.verify, config.seed);
-    // Debug-mode audits cover the first node (injections are global; the
-    // end-of-run audit walks every node).
-    verify->audit_on_fire(*nodes.front());
-
-    Rng rng(config.seed);
-    for (std::uint32_t n = 0; n < config.nodes; ++n) {
-      for (std::uint32_t b = 0; b < config.commodity.builds; ++b) {
-        workloads::KernelBuildConfig bc;
-        bc.jobs = config.commodity.jobs_per_build;
-        builds.push_back(std::make_unique<workloads::KernelBuild>(
-            *nodes[n], bc, rng.fork("build").fork(n * 16 + b)));
-        build_nodes.push_back(n);
-      }
-    }
-  }
-
-  void age_to_warmup() {
-    for (auto& build : builds) {
-      build->start();
-    }
-    const double warmup = config.commodity.builds > 0 ? config.warmup_seconds : 0.1;
-    engine.run_until(machine.cycles(warmup));
+    engine.run_until(layout.machine.cycles(detail::warmup_seconds(config)));
   }
 
   [[nodiscard]] std::vector<os::Node*> node_ptrs() {
@@ -182,216 +80,194 @@ struct ScalingWorld {
   [[nodiscard]] std::vector<snapshot::BuildRef> build_refs() {
     std::vector<snapshot::BuildRef> refs;
     for (std::size_t b = 0; b < builds.size(); ++b) {
-      refs.push_back(snapshot::BuildRef{builds[b].get(), build_nodes[b]});
+      refs.push_back(snapshot::BuildRef{
+          builds[b].get(), static_cast<std::uint32_t>(b / config.commodity.builds)});
     }
     return refs;
   }
+
+  /// The measurement tail every shape shares: run `actor` to completion
+  /// under telemetry sampling, stop the builds, and complete the result
+  /// `collect(t0)` builds with the engine count, telemetry, procfs view
+  /// and verification accounting. Sampling brackets the workload: the
+  /// first sample lands at t0 (= trace_t0), and daemon scheduling means
+  /// the sampler never extends the run past completion. `probes` adds
+  /// shape-specific series before sampling starts.
+  template <typename Actor, typename Collect>
+  auto measure(Actor& actor, Collect collect,
+               const std::function<void(introspect::TelemetrySampler&)>& probes = {}) {
+    const Cycles t0 = engine.now();
+    introspect::TelemetrySampler sampler(
+        engine, {config.introspect.sample_interval, config.introspect.max_samples});
+    for (auto& n : nodes) {
+      sampler.add_node(*n);
+    }
+    if (probes) {
+      probes(sampler);
+    }
+    if (config.introspect.sampling()) {
+      sampler.start();
+    }
+    actor.start([this] { engine.stop(); });
+    engine.run();
+    HPMMAP_ASSERT(actor.done(), "engine drained before the workload completed");
+
+    for (auto& build : builds) {
+      build->stop();
+    }
+    auto result = collect(t0);
+    result.events_fired = engine.events_fired();
+    result.telemetry = sampler.take();
+    if (config.introspect.procfs_dump) {
+      for (auto& n : nodes) {
+        result.procfs_text += introspect::procfs_dump(*n);
+      }
+    }
+    verify->finish(result, node_ptrs());
+    return result;
+  }
 };
 
-RunResult measure_scaling(ScalingWorld& w) {
-  const ScalingRunConfig& config = w.config;
-  sim::Engine& engine = w.engine;
-  Rng rng(config.seed);
-
+workloads::MpiJobConfig job_config(World<SingleNodeRunConfig>& w) {
+  const SingleNodeRunConfig& config = w.config;
   workloads::MpiJobConfig jc;
-  jc.app = detail::scaled_profile(config.app, w.machine.clock_hz, config.footprint_scale,
-                          config.duration_scale);
-  // §IV-C: inputs chosen "to maximize the memory utilization" — on the
-  // 24 GB nodes, 4 ranks split the 20 GB reservation, not the single-node
-  // footprint.
-  const std::uint64_t budget_per_rank =
-      (2 * w.pool * 92 / 100) / config.ranks_per_node - jc.app.misc_bytes;
-  jc.app.bytes_per_rank = align_up(
-      static_cast<std::uint64_t>(static_cast<double>(budget_per_rank) *
-                                 config.footprint_scale),
-      kLargePageSize);
+  jc.app = detail::scaled_profile(config.app, w.layout.machine.clock_hz,
+                                  config.footprint_scale, config.duration_scale);
   jc.policy = detail::policy_for(config.manager);
-  for (std::uint32_t n = 0; n < config.nodes; ++n) {
+  jc.ranks = detail::placements(*w.nodes.front(), config.app_cores);
+  return jc;
+}
+
+workloads::MpiJobConfig job_config(World<ScalingRunConfig>& w) {
+  const ScalingRunConfig& config = w.config;
+  workloads::MpiJobConfig jc;
+  jc.app = detail::scaling_profile(config, w.layout);
+  jc.policy = detail::policy_for(config.manager);
+  for (auto& node : w.nodes) {
     for (const workloads::RankPlacement& p :
-         detail::placements(*w.nodes[n], config.ranks_per_node)) {
+         detail::placements(*node, config.ranks_per_node)) {
       jc.ranks.push_back(p);
     }
   }
-  cluster::EthernetSpec eth;
-  jc.comm = cluster::ethernet_comm(eth, w.machine.clock_hz, config.nodes, rng.fork("net"));
-
-  workloads::MpiJob job(engine, jc);
-  const Cycles job_start = engine.now();
-  introspect::TelemetrySampler sampler(
-      engine, {config.introspect.sample_interval, config.introspect.max_samples});
-  for (auto& n : w.nodes) {
-    sampler.add_node(*n);
-  }
-  if (config.introspect.sampling()) {
-    sampler.start();
-  }
-  job.start([&engine] { engine.stop(); });
-  engine.run();
-  HPMMAP_ASSERT(job.done(), "engine drained before the job completed");
-
-  for (auto& build : w.builds) {
-    build->stop();
-  }
-  RunResult result =
-      detail::collect(job, *w.nodes.front(), config.trace, job_start, w.machine.clock_hz);
-  result.events_fired = engine.events_fired();
-  result.telemetry = sampler.take();
-  if (config.introspect.procfs_dump) {
-    for (auto& n : w.nodes) {
-      result.procfs_text += introspect::procfs_dump(*n);
-    }
-  }
-  w.verify->finish(result, w.node_ptrs());
-  return result;
+  jc.comm = cluster::ethernet_comm(cluster::EthernetSpec{}, w.layout.machine.clock_hz,
+                                   config.nodes, Rng(config.seed).fork("net"));
+  return jc;
 }
 
-struct ServerWorld {
-  ServerRunConfig config;
-  hw::MachineSpec machine = hw::dell_r415();
-  sim::Engine engine;
-  std::optional<os::Node> node;
-  std::optional<detail::VerifySession> verify;
-  std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
+/// The MPI measurement: one job over the world's nodes.
+template <typename Config>
+RunResult measure(World<Config>& w) {
+  workloads::MpiJob job(w.engine, job_config(w));
+  return w.measure(job, [&](Cycles t0) {
+    return detail::collect(job, *w.nodes.front(), w.config.trace, t0, w.layout.machine.clock_hz);
+  });
+}
 
-  ServerWorld(const ServerRunConfig& cfg, bool aged) : config(cfg) {
-    detail::begin_tracing(config.trace, config.seed);
-    // Same reservation split as the single-node runs: the serving side
-    // gets the 12 GB pool/offline region, the commodity side keeps 4 GB.
-    const std::uint64_t pool = 6 * GiB;
-    os::NodeConfig nc =
-        detail::node_config_for(config.manager, machine, pool, config.seed, "r415");
-    nc.aged_boot = aged;
-    node.emplace(engine, std::move(nc));
-    verify.emplace(config.verify, config.seed);
-    verify->audit_on_fire(*node);
-
-    Rng rng(config.seed);
-    for (std::uint32_t b = 0; b < config.commodity.builds; ++b) {
-      workloads::KernelBuildConfig bc;
-      bc.jobs = config.commodity.jobs_per_build;
-      builds.push_back(std::make_unique<workloads::KernelBuild>(
-          *node, bc, rng.fork("build").fork(b)));
-    }
-  }
-
-  void age_to_warmup() {
-    for (auto& build : builds) {
-      build->start();
-    }
-    const double warmup = config.commodity.builds > 0 ? config.warmup_seconds : 0.1;
-    engine.run_until(machine.cycles(warmup));
-  }
-
-  [[nodiscard]] std::vector<snapshot::BuildRef> build_refs() {
-    std::vector<snapshot::BuildRef> refs;
-    for (auto& build : builds) {
-      refs.push_back(snapshot::BuildRef{build.get(), 0});
-    }
-    return refs;
-  }
-};
-
-ServerRunResult measure_server(ServerWorld& w) {
+ServerRunResult measure(World<ServerRunConfig>& w) {
   const ServerRunConfig& config = w.config;
-  sim::Engine& engine = w.engine;
-  os::Node& node = *w.node;
-  Rng rng(config.seed);
+  const hw::MachineSpec& machine = w.layout.machine;
+  os::Node& node = *w.nodes.front();
+  const Rng rng(config.seed);
 
   // The schedule is generated before anything serves: a pure function of
   // (arrival config, clock, seed), so every manager replays the same one.
   serving::ArrivalConfig arrival = config.arrival;
   arrival.duration_seconds *= config.duration_scale;
   std::vector<serving::ScheduledRequest> schedule =
-      serving::generate_schedule(arrival, w.machine.clock_hz, rng.fork("arrival"));
+      serving::generate_schedule(arrival, machine.clock_hz, rng.fork("arrival"));
 
   workloads::ServerConfig service = config.service;
   service.policy = detail::policy_for(config.manager);
   service.zone = 0;
   if (service.budgets.empty()) {
     service.budgets = {
-        {"lat<2ms", w.machine.cycles(0.002)},
-        {"lat<10ms", w.machine.cycles(0.010)},
+        {"lat<2ms", machine.cycles(0.002)},
+        {"lat<10ms", machine.cycles(0.010)},
     };
   }
-  workloads::ServerApp server(engine, node, std::move(service), std::move(schedule),
+  workloads::ServerApp server(w.engine, node, std::move(service), std::move(schedule),
                               rng.fork("server"));
   profile::RequestProfiler profiler;
   if (config.attribution) {
     server.set_profiler(&profiler);
   }
 
-  const Cycles t0 = engine.now();
-  introspect::TelemetrySampler sampler(
-      engine, {config.introspect.sample_interval, config.introspect.max_samples});
-  sampler.add_node(node);
   // Service-side probes: pure observers on the actor, so sampling stays
   // byte-identical-off-vs-on like every other telemetry source.
-  const std::string labels = "node=\"" + node.config().name + "\"";
-  sampler.add_probe("hpmmap_server_queue_depth", labels, "gauge",
-                    [&server] { return server.queue_depth_now(); });
-  sampler.add_probe("hpmmap_server_in_flight", labels, "gauge",
-                    [&server] { return server.in_flight_now(); });
-  sampler.add_probe("hpmmap_server_shed_total", labels, "counter",
-                    [&server] { return server.shed_total(); });
-  sampler.add_probe("hpmmap_server_completed_total", labels, "counter",
-                    [&server] { return server.completed_total(); });
-  if (config.introspect.sampling()) {
-    sampler.start();
-  }
-  server.start([&engine] { engine.stop(); });
-  engine.run();
-  HPMMAP_ASSERT(server.done(), "engine drained before the service completed");
+  const auto probes = [&](introspect::TelemetrySampler& sampler) {
+    const std::string labels = "node=\"" + node.config().name + "\"";
+    sampler.add_probe("hpmmap_server_queue_depth", labels, "gauge",
+                      [&server] { return server.queue_depth_now(); });
+    sampler.add_probe("hpmmap_server_in_flight", labels, "gauge",
+                      [&server] { return server.in_flight_now(); });
+    sampler.add_probe("hpmmap_server_shed_total", labels, "counter",
+                      [&server] { return server.shed_total(); });
+    sampler.add_probe("hpmmap_server_completed_total", labels, "counter",
+                      [&server] { return server.completed_total(); });
+  };
+  const auto collect = [&](Cycles t0) {
+    ServerRunResult result;
+    result.runtime_seconds = machine.seconds(w.engine.now() - t0);
+    result.clock_hz = machine.clock_hz;
+    result.server = server.stats();
+    result.faults = server.aggregate_faults();
+    result.trace_t0 = t0;
 
-  for (auto& build : w.builds) {
-    build->stop();
-  }
+    const serving::LatencyRecorder& lat = server.latency();
+    result.tail.p50_us = lat.tails().p50();
+    result.tail.p95_us = lat.tails().p95();
+    result.tail.p99_us = lat.tails().p99();
+    result.tail.p999_us = lat.tails().p999();
+    result.tail.exact_p50_us = lat.reservoir().quantile(0.50);
+    result.tail.exact_p99_us = lat.reservoir().quantile(0.99);
+    result.tail.exact_p999_us = lat.reservoir().quantile(0.999);
+    result.tail.mean_us = lat.tails().mean();
+    result.tail.max_us = lat.tails().max();
+    result.tail.samples = lat.tails().count();
 
-  ServerRunResult result;
-  result.runtime_seconds = w.machine.seconds(engine.now() - t0);
-  result.clock_hz = w.machine.clock_hz;
-  result.server = server.stats();
-  result.faults = server.aggregate_faults();
-  result.trace_t0 = t0;
-  result.events_fired = engine.events_fired();
+    const serving::SloAccountant& slo = server.slo();
+    for (std::size_t i = 0; i < slo.budget_count(); ++i) {
+      SloOutcome o;
+      o.label = slo.budget(i).label;
+      o.budget_us = machine.seconds(slo.budget(i).budget) * 1e6;
+      o.violations = slo.violations(i);
+      result.slo.push_back(std::move(o));
+    }
+    result.slo_total = slo.total_violations();
 
-  const serving::LatencyRecorder& lat = server.latency();
-  result.tail.p50_us = lat.tails().p50();
-  result.tail.p95_us = lat.tails().p95();
-  result.tail.p99_us = lat.tails().p99();
-  result.tail.p999_us = lat.tails().p999();
-  result.tail.exact_p50_us = lat.reservoir().quantile(0.50);
-  result.tail.exact_p99_us = lat.reservoir().quantile(0.99);
-  result.tail.exact_p999_us = lat.reservoir().quantile(0.999);
-  result.tail.mean_us = lat.tails().mean();
-  result.tail.max_us = lat.tails().max();
-  result.tail.samples = lat.tails().count();
+    if (config.trace.on()) {
+      trace::instant(trace::Category::kHarness, "run.end", 0, -1,
+                     {trace::Arg::u64("completed", result.server.completed)});
+      trace::disable_all();
+      result.events = trace::recorder().snapshot();
+      result.trace_dropped = trace::recorder().dropped();
+    }
+    if (config.attribution) {
+      result.attribution = profiler.take();
+    }
+    return result;
+  };
+  return w.measure(server, collect, probes);
+}
 
-  const serving::SloAccountant& slo = server.slo();
-  for (std::size_t i = 0; i < slo.budget_count(); ++i) {
-    SloOutcome o;
-    o.label = slo.budget(i).label;
-    o.budget_us = w.machine.seconds(slo.budget(i).budget) * 1e6;
-    o.violations = slo.violations(i);
-    result.slo.push_back(std::move(o));
+/// Boot `config`'s world, bring it to the warmup quiesce point — by
+/// aging it, or by overwriting it with `image` — and measure.
+template <typename Config>
+auto run_world(const Config& config, const snapshot::WorldImage* image) {
+  World<Config> world(config, /*aged=*/image == nullptr);
+  if (image != nullptr) {
+    snapshot::restore_world(*image, world.engine, world.node_ptrs(), world.build_refs());
+  } else {
+    world.age_to_warmup();
   }
-  result.slo_total = slo.total_violations();
+  return measure(world);
+}
 
-  if (config.trace.on()) {
-    trace::instant(trace::Category::kHarness, "run.end", 0, -1,
-                   {trace::Arg::u64("completed", result.server.completed)});
-    trace::disable_all();
-    result.events = trace::recorder().snapshot();
-    result.trace_dropped = trace::recorder().dropped();
-  }
-  if (config.attribution) {
-    result.attribution = profiler.take();
-  }
-  result.telemetry = sampler.take();
-  if (config.introspect.procfs_dump) {
-    result.procfs_text = introspect::procfs_dump(node);
-  }
-  w.verify->finish(result, {&node});
-  return result;
+template <typename Config>
+snapshot::WorldImage capture(const Config& config) {
+  World<Config> world(config, /*aged=*/true);
+  world.age_to_warmup();
+  return snapshot::capture_world(world.engine, world.node_ptrs(), world.build_refs());
 }
 
 } // namespace
@@ -433,59 +309,41 @@ std::vector<FaultSample> app_fault_samples(const RunResult& r) {
 }
 
 RunResult run_single_node(const SingleNodeRunConfig& config) {
-  SingleNodeWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_single_node(world);
+  return run_world(config, nullptr);
 }
 
 snapshot::WorldImage capture_single_node(const SingleNodeRunConfig& config) {
-  SingleNodeWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return snapshot::capture_world(world.engine, {&*world.node}, world.build_refs());
+  return capture(config);
 }
 
 RunResult run_single_node(const SingleNodeRunConfig& config,
                           const snapshot::WorldImage& image) {
-  SingleNodeWorld world(config, /*aged=*/false);
-  snapshot::restore_world(image, world.engine, {&*world.node}, world.build_refs());
-  return measure_single_node(world);
+  return run_world(config, &image);
 }
 
 RunResult run_scaling(const ScalingRunConfig& config) {
-  ScalingWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_scaling(world);
+  return run_world(config, nullptr);
 }
 
 snapshot::WorldImage capture_scaling(const ScalingRunConfig& config) {
-  ScalingWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return snapshot::capture_world(world.engine, world.node_ptrs(), world.build_refs());
+  return capture(config);
 }
 
 RunResult run_scaling(const ScalingRunConfig& config, const snapshot::WorldImage& image) {
-  ScalingWorld world(config, /*aged=*/false);
-  snapshot::restore_world(image, world.engine, world.node_ptrs(), world.build_refs());
-  return measure_scaling(world);
+  return run_world(config, &image);
 }
 
 ServerRunResult run_server(const ServerRunConfig& config) {
-  ServerWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_server(world);
+  return run_world(config, nullptr);
 }
 
 snapshot::WorldImage capture_server(const ServerRunConfig& config) {
-  ServerWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return snapshot::capture_world(world.engine, {&*world.node}, world.build_refs());
+  return capture(config);
 }
 
 ServerRunResult run_server(const ServerRunConfig& config,
                            const snapshot::WorldImage& image) {
-  ServerWorld world(config, /*aged=*/false);
-  snapshot::restore_world(image, world.engine, {&*world.node}, world.build_refs());
-  return measure_server(world);
+  return run_world(config, &image);
 }
 
 std::vector<introspect::TimeSeries> merged_telemetry(const std::vector<RunResult>& runs) {
@@ -571,24 +429,6 @@ SmpRunResult run_smp(const SmpRunConfig& config) {
   }
   verify.finish(result, {&node});
   return result;
-}
-
-std::vector<SmpRunResult> run_smp_batch(const std::vector<SmpRunConfig>& configs) {
-  BatchRunner runner(default_jobs());
-  std::vector<std::function<SmpRunResult()>> tasks;
-  tasks.reserve(configs.size());
-  for (const SmpRunConfig& c : configs) {
-    tasks.push_back([c] { return run_smp(c); });
-  }
-  return runner.map(std::move(tasks));
-}
-
-SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials) {
-  return run_trials(std::move(config), trials, default_jobs());
-}
-
-SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials) {
-  return run_trials(std::move(config), trials, default_jobs());
 }
 
 } // namespace hpmmap::harness

@@ -408,18 +408,6 @@ struct SmpRunResult {
 /// `cores`, THP off, pristine boot).
 [[nodiscard]] SmpRunResult run_smp(const SmpRunConfig& config);
 
-/// Run a (cores x variant) grid on the batch runner at
-/// harness::default_jobs() parallelism. Results come back in config
-/// order — byte-identical for any jobs value.
-[[nodiscard]] std::vector<SmpRunResult> run_smp_batch(const std::vector<SmpRunConfig>& configs);
-
-/// Trial loops run on the batch runner at harness::default_jobs()
-/// parallelism (see harness/batch.hpp; 1 = serial, and any jobs value
-/// produces byte-identical points). Explicit-jobs overloads and
-/// whole-sweep batch fan-out live in batch.hpp.
-[[nodiscard]] SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials);
-[[nodiscard]] SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials);
-
 /// Flatten per-trial telemetry into one export-ready stream: each trial's
 /// series gain a `trial="N"` label (N = submission index), concatenated in
 /// trial order. Because batch trials merge in submission order, the result

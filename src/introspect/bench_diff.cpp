@@ -1,5 +1,6 @@
 #include "introspect/bench_diff.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -174,13 +175,27 @@ bool gated_by_default(std::string_view key) {
   return key.ends_with("improvement_ratio") || key.ends_with("speedup");
 }
 
+std::optional<double> effective_parallelism(const BenchDoc& doc) {
+  const auto jobs = doc.numbers.find("jobs");
+  const auto hw = doc.numbers.find("hardware_concurrency");
+  if (jobs == doc.numbers.end() || hw == doc.numbers.end()) {
+    return std::nullopt;
+  }
+  return std::min(jobs->second, hw->second);
+}
+
 DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& current, double threshold,
                       const std::vector<std::string>& gate_keys) {
   DiffResult result;
   result.threshold = threshold;
+  // A parallel speedup compares across runs only at equal effective
+  // parallelism; documents that do not report it keep the gate.
+  const std::optional<double> base_par = effective_parallelism(baseline);
+  const std::optional<double> cur_par = effective_parallelism(current);
+  const bool speedups_comparable = !base_par || !cur_par || *base_par == *cur_par;
   const auto is_gated = [&](const std::string& key) {
     if (gate_keys.empty()) {
-      return gated_by_default(key);
+      return gated_by_default(key) && (speedups_comparable || !key.ends_with("speedup"));
     }
     for (const std::string& g : gate_keys) {
       if (g == key) {
@@ -208,6 +223,17 @@ DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& current, double 
     d.regressed = d.gated && d.current < d.baseline * (1.0 - threshold);
     result.pass = result.pass && !d.regressed;
     result.deltas.push_back(std::move(d));
+  }
+
+  for (const MetricDelta& d : result.deltas) {
+    if (!d.gated && gate_keys.empty() && gated_by_default(d.key)) {
+      char buf[192];
+      std::snprintf(buf, sizeof(buf),
+                    "%s not gated: min(jobs, hardware_concurrency) is %g in the baseline, "
+                    "%g in the current run",
+                    d.key.c_str(), *base_par, *cur_par);
+      result.notes.emplace_back(buf);
+    }
   }
 
   // Identity and determinism checks: a renamed bench or a divergent

@@ -9,9 +9,11 @@
 //
 // The gate logic is machine-independence-aware: absolute throughput
 // numbers (events/sec, wall seconds) vary wildly across runners, so by
-// default only the self-relative `improvement_ratio` keys — measured
-// against baselines compiled into the same binary — are gated, and a
-// false `deterministic_match` flag fails outright. Everything shared
+// default only the self-relative `improvement_ratio` and `speedup` keys —
+// measured against baselines compiled into the same binary — are gated,
+// and a false `deterministic_match` flag fails outright. A parallel
+// `speedup` is gated only when both runs had the same effective
+// parallelism, min(jobs, hardware_concurrency). Everything shared
 // and numeric is still reported as an informational delta.
 #pragma once
 
@@ -64,11 +66,18 @@ struct DiffResult {
 /// `speedup` (higher is better, self-relative, machine-independent).
 [[nodiscard]] bool gated_by_default(std::string_view key);
 
+/// min(jobs, hardware_concurrency) of a document; nullopt unless it
+/// reports both.
+[[nodiscard]] std::optional<double> effective_parallelism(const BenchDoc& doc);
+
 /// Compare `current` against `baseline`. A gated metric regresses when
 /// it falls below baseline * (1 - threshold). Non-numeric disagreements
 /// that matter (a false deterministic_match, a changed bench identity)
-/// fail via notes. `gate_keys` overrides the default gate set when
-/// non-empty (exact key match).
+/// fail via notes. Default-gated `*speedup` keys are left ungated (with a
+/// note naming both values) when the two documents report different
+/// effective_parallelism; documents lacking it keep the gate.
+/// `gate_keys` overrides the default gate set when non-empty (exact key
+/// match, always gated).
 [[nodiscard]] DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& current,
                                     double threshold,
                                     const std::vector<std::string>& gate_keys = {});

@@ -1,79 +1,27 @@
 // PDES cluster harness correctness (DESIGN.md §13). The headline
-// checks: conservative-window message delivery exactly at the horizon
-// edge; the nodes=1 bridge — run_cluster byte-identical to run_scaling,
-// trace stream included; the --cluster-jobs determinism contract (any
-// worker count byte-identical, exporters included) across a
-// nodes × managers matrix; multi-node runtime/fault tables matching the
-// shared-engine path; and the topology cost model (flat reproduces the
+// checks: the nodes=1 bridge — run_cluster byte-identical to
+// run_scaling, trace stream included; the --cluster-jobs determinism
+// contract (any worker count byte-identical, exporters included) across
+// a nodes × managers matrix; multi-node runtime/fault tables (and the
+// trial fold over them) matching the shared-engine path; and the
+// topology cost model (flat reproduces the
 // paper's single-switch formula through the radix, tree/fat-tree order
 // sanely and tree rejects non-power-of-two node counts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "cluster/network.hpp"
+#include "harness/batch.hpp"
 #include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "introspect/export.hpp"
-#include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "trace/trace.hpp"
 
 namespace hpmmap {
 namespace {
-
-// --- conservative window loop ---------------------------------------------
-
-TEST(Lookahead, DeliversMessageExactlyAtTheHorizonEdge) {
-  // A message stamped send-time + lookahead lands exactly on the first
-  // window's inclusive end: legal (the soundness bound is >=, not >) and
-  // it must fire inside that window, not one window late.
-  sim::Engine a;
-  sim::Engine b;
-  sim::ParallelCoordinator coord(1);
-  coord.add_group(a);
-  coord.add_group(b);
-
-  cluster::EthernetSpec eth;
-  const double clock_hz = 2.2e9;
-  const Cycles lookahead = cluster::min_cross_node_latency(eth, clock_hz);
-  ASSERT_GT(lookahead, 0u);
-
-  std::vector<Cycles> fired;
-  a.schedule_at(Cycles{100}, [&] {
-    coord.post(1, Cycles{100} + lookahead, [&] { fired.push_back(b.now()); });
-  });
-  b.schedule_at(Cycles{100} + 2 * lookahead, [&] { fired.push_back(b.now()); });
-
-  coord.run_lookahead(lookahead);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], Cycles{100} + lookahead);
-  EXPECT_EQ(fired[1], Cycles{100} + 2 * lookahead);
-}
-
-TEST(Lookahead, ChainedMessagesRespectEveryDestinationClock) {
-  // Ping-pong at exactly the lookahead bound for several rounds; the
-  // coordinator's per-delivery assert is the real check here.
-  sim::Engine a;
-  sim::Engine b;
-  sim::ParallelCoordinator coord(2);
-  coord.add_group(a);
-  coord.add_group(b);
-  const Cycles L = 1000;
-  int volleys = 0;
-  std::function<void(std::size_t, Cycles)> volley = [&](std::size_t dst, Cycles when) {
-    ++volleys;
-    if (volleys < 8) {
-      coord.post(1 - dst, when + L, [&, dst, when] { volley(1 - dst, when + L); });
-    }
-  };
-  a.schedule_at(Cycles{50}, [&] { volley(0, Cycles{50}); });
-  coord.run_lookahead(L);
-  EXPECT_EQ(volleys, 8);
-}
 
 // --- topology cost model ---------------------------------------------------
 
@@ -328,6 +276,23 @@ TEST(ClusterTrials, SeriesPointsAreWorkerCountInvariant) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.fault_counts, b.fault_counts);
   EXPECT_EQ(a.fault_cycles, b.fault_cycles);
+}
+
+TEST(ClusterTrials, FoldMatchesTheSharedEngineTrialLoop) {
+  // Both trial loops fold through the same SeriesPoint fold, and under
+  // the flat topology the per-trial runtime/fault tables agree, so every
+  // folded statistic does too. Engine events differ by design (§13.2).
+  harness::ClusterRunConfig ccfg;
+  ccfg.scaling = scaling_quick("HPCCG", harness::Manager::kThp, 2);
+  ccfg.cluster_jobs = 2;
+  const harness::SeriesPoint cluster = harness::run_cluster_trials(ccfg, 3);
+  const harness::SeriesPoint shared = harness::run_trials(ccfg.scaling, 3, /*jobs=*/2);
+  EXPECT_EQ(cluster.trials, 3u);
+  EXPECT_EQ(cluster.mean_seconds, shared.mean_seconds);
+  EXPECT_EQ(cluster.stdev_seconds, shared.stdev_seconds);
+  EXPECT_EQ(cluster.fault_counts, shared.fault_counts);
+  EXPECT_EQ(cluster.fault_cycles, shared.fault_cycles);
+  EXPECT_GT(shared.total_faults(), 0u);
 }
 
 TEST(ClusterTopology, TreeRunsAndIsFasterThanFlatPastTheRadix) {

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "cluster/network.hpp"
+#include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 

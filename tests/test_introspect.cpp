@@ -416,5 +416,53 @@ TEST(BenchDiff, ExplicitGateKeysOverrideDefaults) {
   }
 }
 
+constexpr const char* kSpeedupJson = R"({
+  "bench": "batch_runner",
+  "wall_seconds_jobsN": 2.0,
+  "jobs": 8,
+  "speedup": 3.0,
+  "hardware_concurrency": 4,
+  "deterministic_match": true
+})";
+
+TEST(BenchDiff, SpeedupAtDifferentParallelismIsNotGated) {
+  auto base = introspect::parse_bench_json(kSpeedupJson);
+  base->numbers["hardware_concurrency"] = 1; // min(8, 1) = 1 vs min(8, 4) = 4
+  auto cur = introspect::parse_bench_json(kSpeedupJson);
+  cur->numbers["speedup"] = 1.0; // -67%, but measured 4-way vs 1-way
+  const auto r = introspect::diff_bench(*base, *cur, 0.10);
+  EXPECT_TRUE(r.pass);
+  for (const introspect::MetricDelta& d : r.deltas) {
+    EXPECT_FALSE(d.gated) << d.key;
+  }
+  ASSERT_EQ(r.notes.size(), 1u);
+  EXPECT_NE(r.notes[0].find("is 1 in the baseline, 4 in the current"), std::string::npos)
+      << r.notes[0];
+}
+
+TEST(BenchDiff, SpeedupAtEqualParallelismStaysGated) {
+  auto base = introspect::parse_bench_json(kSpeedupJson);
+  auto cur = introspect::parse_bench_json(kSpeedupJson);
+  cur->numbers["hardware_concurrency"] = 16; // min(8, 16) = 8 ...
+  base->numbers["hardware_concurrency"] = 32; // ... = min(8, 32)
+  cur->numbers["speedup"] = 1.0;
+  const auto r = introspect::diff_bench(*base, *cur, 0.10);
+  EXPECT_FALSE(r.pass);
+  EXPECT_EQ(r.regressions(), 1u);
+  EXPECT_TRUE(r.notes.empty());
+}
+
+TEST(BenchDiff, SpeedupWithoutParallelismFieldsStaysGated) {
+  auto base = introspect::parse_bench_json(kSpeedupJson);
+  base->numbers.erase("hardware_concurrency"); // reports jobs only
+  auto cur = introspect::parse_bench_json(kSpeedupJson);
+  cur->numbers["hardware_concurrency"] = 1;
+  cur->numbers["speedup"] = 1.0;
+  EXPECT_FALSE(introspect::effective_parallelism(*base).has_value());
+  const auto r = introspect::diff_bench(*base, *cur, 0.10);
+  EXPECT_FALSE(r.pass);
+  EXPECT_EQ(r.regressions(), 1u);
+}
+
 } // namespace
 } // namespace hpmmap

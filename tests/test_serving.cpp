@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -271,7 +272,15 @@ TEST(ServerRun, SnapshotResumedTrialsAreByteIdenticalForAnyJobs) {
   cfg.commodity = workloads::profile_a(2);
   const auto straight = harness::run_server_trials(cfg, 2, /*jobs=*/1);
   for (const unsigned jobs : {1u, 4u}) {
-    const auto resumed = harness::run_server_trials_resumed(cfg, 2, jobs);
+    std::vector<std::function<harness::ServerRunResult()>> tasks;
+    for (const std::uint64_t seed : harness::trial_seeds(cfg.seed, 2)) {
+      harness::ServerRunConfig trial_cfg = cfg;
+      trial_cfg.seed = seed;
+      tasks.push_back([trial_cfg] {
+        return harness::run_server(trial_cfg, harness::capture_server(trial_cfg));
+      });
+    }
+    const auto resumed = harness::BatchRunner(jobs).map(std::move(tasks));
     ASSERT_EQ(resumed.size(), straight.size());
     for (std::size_t i = 0; i < straight.size(); ++i) {
       expect_identical(straight[i], resumed[i]);
