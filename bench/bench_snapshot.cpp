@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -143,6 +144,8 @@ int main(int argc, char** argv) {
   j += "  \"wall_seconds_straight\": " + num(straight.wall_seconds) + ",\n";
   j += "  \"wall_seconds_snapshotted\": " + num(snapshotted.wall_seconds) + ",\n";
   j += "  \"jobs\": " + std::to_string(jobs) + ",\n";
+  j += "  \"hardware_concurrency\": " + std::to_string(std::thread::hardware_concurrency()) +
+       ",\n";
   j += "  \"speedup\": " + num(speedup) + ",\n";
   j += std::string("  \"deterministic_match\": ") + (match ? "true" : "false") + "\n";
   j += "}\n";

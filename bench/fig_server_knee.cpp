@@ -3,7 +3,7 @@
 //
 // The SLO figure holds the rate fixed and counts violations; this one
 // sweeps the rate and locates the knee — the highest swept rate whose
-// exact p99 (reservoir, not P² estimate) still fits under 0.5 ms. The
+// p99 (nearest rank over the latency reservoir) still fits under 0.5 ms. The
 // same seed replays every (manager, rate) cell, so the knee offsets are
 // manager effects. Every cell runs with attribution on, and the report
 // prints the exact bucket decomposition of the p99 request *at each

@@ -6,9 +6,9 @@
 // workload blow their latency budget. The same Poisson schedule (common
 // random numbers) replays against all three managers on the Dell R415
 // model while profile A's kernel build churns beside it; violations are
-// exact exceedance counts from the SLO accountant, not quantile
-// estimates, so the headline is robust to P²'s bimodal-distribution
-// error (the exact reservoir cross-check is reported alongside).
+// exact exceedance counts from the SLO accountant over every request,
+// not quantiles of the retained latency sample (those are reported
+// alongside).
 //
 // Self-checks (exit 1 on failure):
 //   - HPMMAP must finish with strictly fewer total SLO violations than
@@ -46,7 +46,6 @@ struct BackendOutcome {
   double p50_us = 0.0;
   double p99_us = 0.0;
   double p999_us = 0.0;
-  double exact_p99_us = 0.0;
   std::vector<std::uint64_t> per_budget;
 };
 
@@ -86,7 +85,6 @@ BackendOutcome fold(harness::Manager manager,
     out.p50_us = trials[0].tail.p50_us;
     out.p99_us = trials[0].tail.p99_us;
     out.p999_us = trials[0].tail.p999_us;
-    out.exact_p99_us = trials[0].tail.exact_p99_us;
   }
   return out;
 }
@@ -104,7 +102,6 @@ bool identical(const std::vector<harness::ServerRunResult>& a,
         x.server.shed_timeout != y.server.shed_timeout ||
         x.tail.p50_us != y.tail.p50_us || x.tail.p95_us != y.tail.p95_us ||
         x.tail.p99_us != y.tail.p99_us || x.tail.p999_us != y.tail.p999_us ||
-        x.tail.exact_p99_us != y.tail.exact_p99_us ||
         x.runtime_seconds != y.runtime_seconds || x.events_fired != y.events_fired) {
       return false;
     }
@@ -139,20 +136,19 @@ int main(int argc, char** argv) {
   const bool deterministic =
       identical(hpmmap_parallel, harness::run_server_trials(recheck, opt.trials, /*jobs=*/1));
 
-  std::printf("%-18s %12s %10s %8s %8s %8s %10s %10s\n", "manager", "violations",
-              "completed", "shed", "p50us", "p99us", "p99.9us", "xp99us");
-  std::string csv = "manager,violations,completed,shed,p50_us,p99_us,p999_us,exact_p99_us\n";
+  std::printf("%-18s %12s %10s %8s %8s %8s %10s\n", "manager", "violations", "completed",
+              "shed", "p50us", "p99us", "p99.9us");
+  std::string csv = "manager,violations,completed,shed,p50_us,p99_us,p999_us\n";
   for (const BackendOutcome& o : outcomes) {
-    std::printf("%-18s %12llu %10llu %8llu %8.0f %8.0f %10.0f %10.0f\n",
+    std::printf("%-18s %12llu %10llu %8llu %8.0f %8.0f %10.0f\n",
                 std::string(name(o.manager)).c_str(),
                 static_cast<unsigned long long>(o.violations),
                 static_cast<unsigned long long>(o.completed),
-                static_cast<unsigned long long>(o.shed), o.p50_us, o.p99_us, o.p999_us,
-                o.exact_p99_us);
+                static_cast<unsigned long long>(o.shed), o.p50_us, o.p99_us, o.p999_us);
     csv += std::string(name(o.manager)) + "," + std::to_string(o.violations) + "," +
            std::to_string(o.completed) + "," + std::to_string(o.shed) + "," +
            std::to_string(o.p50_us) + "," + std::to_string(o.p99_us) + "," +
-           std::to_string(o.p999_us) + "," + std::to_string(o.exact_p99_us) + "\n";
+           std::to_string(o.p999_us) + "\n";
   }
   // CSV goes to --out-dir only, like the other figure benches; the
   // root mirror is reserved for committed BENCH_*.json baselines.

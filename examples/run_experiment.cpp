@@ -21,6 +21,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -131,18 +132,37 @@ using namespace hpmmap;
   std::exit(0);
 }
 
-/// A count option's value: a whole decimal number of at least `min`.
+/// A whole-number option's value: a decimal number in [min, max].
 /// Anything else exits 1 naming the option.
-std::uint32_t parse_count(const char* option, const char* text, std::uint32_t min) {
+std::uint64_t parse_whole(const char* option, const char* text, std::uint64_t min,
+                          std::uint64_t max) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
   if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || *end != '\0' ||
-      errno == ERANGE || v < min || v > UINT32_MAX) {
-    std::fprintf(stderr, "%s needs a whole number >= %u (got '%s')\n", option, min, text);
+      errno == ERANGE || v < min || v > max) {
+    std::fprintf(stderr, "%s needs a whole number >= %llu (got '%s')\n", option,
+                 static_cast<unsigned long long>(min), text);
     std::exit(1);
   }
-  return static_cast<std::uint32_t>(v);
+  return v;
+}
+
+/// A count option's value: a whole number of at least `min` that fits 32 bits.
+std::uint32_t parse_count(const char* option, const char* text, std::uint32_t min) {
+  return static_cast<std::uint32_t>(parse_whole(option, text, min, UINT32_MAX));
+}
+
+/// A real-valued option's value: a finite decimal number > 0. Anything
+/// else exits 1 naming the option.
+double parse_positive(const char* option, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
+    std::fprintf(stderr, "%s needs a finite number > 0 (got '%s')\n", option, text);
+    std::exit(1);
+  }
+  return v;
 }
 
 harness::Manager parse_manager(const std::string& s) {
@@ -507,13 +527,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--smp-variant")) {
       smp_variant = next();
     } else if (!std::strcmp(argv[i], "--rate")) {
-      rate = std::atof(next());
+      rate = parse_positive("--rate", next());
     } else if (!std::strcmp(argv[i], "--shape")) {
       shape = next();
     } else if (!std::strcmp(argv[i], "--workers")) {
       workers = parse_count("--workers", next(), 1);
     } else if (!std::strcmp(argv[i], "--queue-depth")) {
-      queue_depth = static_cast<std::uint32_t>(std::atoi(next()));
+      queue_depth = parse_count("--queue-depth", next(), 1);
     } else if (!std::strcmp(argv[i], "--slo")) {
       slo_spec = next();
     } else if (!std::strcmp(argv[i], "--manager")) {
@@ -531,11 +551,11 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--trials")) {
       trials = parse_count("--trials", next(), 1);
     } else if (!std::strcmp(argv[i], "--scale")) {
-      scale = std::atof(next());
+      scale = parse_positive("--scale", next());
     } else if (!std::strcmp(argv[i], "--duration")) {
-      duration = std::atof(next());
+      duration = parse_positive("--duration", next());
     } else if (!std::strcmp(argv[i], "--seed")) {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = parse_whole("--seed", next(), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--jobs")) {
       jobs = parse_count("--jobs", next(), 0);
     } else if (!std::strcmp(argv[i], "--perf-summary")) {
@@ -557,7 +577,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--inject")) {
       inject_spec = next();
     } else if (!std::strcmp(argv[i], "--sample-interval")) {
-      sample_interval = static_cast<std::uint64_t>(std::atoll(next()));
+      sample_interval = parse_whole("--sample-interval", next(), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--metrics-out")) {
       metrics_out = next();
     } else if (!std::strcmp(argv[i], "--procfs-dump")) {

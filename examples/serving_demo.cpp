@@ -130,9 +130,10 @@ DemoResult run_backend(harness::Manager manager, double mean_rps) {
     o.violations = slo.violations(i);
     out.slo.push_back(std::move(o));
   }
-  out.p50_us = server.latency().tails().p50();
-  out.p99_us = server.latency().reservoir().quantile(0.99);
-  out.p999_us = server.latency().reservoir().quantile(0.999);
+  const std::vector<double> q = server.latency().reservoir().quantiles({0.50, 0.99, 0.999});
+  out.p50_us = q[0];
+  out.p99_us = q[1];
+  out.p999_us = q[2];
   return out;
 }
 

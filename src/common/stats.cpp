@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -103,125 +102,6 @@ double Samples::percentile(double p) const {
     return sorted_.back();
   }
   return sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
-}
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  HPMMAP_ASSERT(q > 0.0 && q < 1.0, "quantile must be in (0, 1)");
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q;
-  desired_[2] = 1.0 + 4.0 * q;
-  desired_[3] = 3.0 + 2.0 * q;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q / 2.0;
-  increments_[2] = q;
-  increments_[3] = (1.0 + q) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void P2Quantile::add(double x) noexcept {
-  if (n_ < 5) {
-    heights_[n_] = x;
-    ++n_;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) {
-        positions_[i] = static_cast<double>(i + 1);
-      }
-    }
-    return;
-  }
-  ++n_;
-
-  // Locate the cell containing x and clamp the extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) {
-      ++k;
-    }
-  }
-  for (int i = k + 1; i < 5; ++i) {
-    positions_[i] += 1.0;
-  }
-  for (int i = 0; i < 5; ++i) {
-    desired_[i] += increments_[i];
-  }
-
-  // Adjust the interior markers toward their desired positions with
-  // piecewise-parabolic (P²) interpolation, falling back to linear when
-  // the parabola would leave the bracket.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double dp = positions_[i + 1] - positions_[i];
-    const double dm = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && dp > 1.0) || (d <= -1.0 && dm < -1.0)) {
-      const double sign = d >= 0.0 ? 1.0 : -1.0;
-      const double hp = (heights_[i + 1] - heights_[i]) / dp; // slope toward upper neighbour
-      const double hm = (heights_[i - 1] - heights_[i]) / dm; // slope toward lower neighbour
-      const double parabolic =
-          heights_[i] + sign / (dp - dm) * ((sign - dm) * hp + (dp - sign) * hm);
-      double candidate;
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        candidate = parabolic;
-      } else {
-        candidate = heights_[i] + sign * (sign > 0.0 ? hp : hm);
-      }
-      heights_[i] = candidate;
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const noexcept {
-  if (n_ == 0) {
-    return 0.0;
-  }
-  if (n_ < 5) {
-    // Exact small-sample quantile over what we have.
-    double tmp[5];
-    std::copy(heights_, heights_ + n_, tmp);
-    std::sort(tmp, tmp + n_);
-    const double rank = q_ * static_cast<double>(n_ - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= n_) {
-      return tmp[n_ - 1];
-    }
-    return tmp[lo] + frac * (tmp[lo + 1] - tmp[lo]);
-  }
-  return heights_[2];
-}
-
-TailQuantiles::TailQuantiles()
-    : q_{P2Quantile(kQuantiles[0]), P2Quantile(kQuantiles[1]), P2Quantile(kQuantiles[2]),
-         P2Quantile(kQuantiles[3])} {}
-
-void TailQuantiles::add(double x) noexcept {
-  for (P2Quantile& q : q_) {
-    q.add(x);
-  }
-  stats_.add(x);
-}
-
-double TailQuantiles::value(std::size_t i) const noexcept {
-  return i < kCount ? q_[i].value() : 0.0;
-}
-
-void Log2Histogram::add(std::uint64_t x) noexcept {
-  const unsigned bucket = x == 0 ? 0 : static_cast<unsigned>(std::bit_width(x) - 1);
-  ++buckets_[bucket < kBuckets ? bucket : kBuckets - 1];
-  ++total_;
-}
-
-std::uint64_t Log2Histogram::bucket_count(unsigned bucket) const noexcept {
-  return bucket < kBuckets ? buckets_[bucket] : 0;
 }
 
 } // namespace hpmmap

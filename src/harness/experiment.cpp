@@ -214,16 +214,14 @@ ServerRunResult measure(World<ServerRunConfig>& w) {
     result.trace_t0 = t0;
 
     const serving::LatencyRecorder& lat = server.latency();
-    result.tail.p50_us = lat.tails().p50();
-    result.tail.p95_us = lat.tails().p95();
-    result.tail.p99_us = lat.tails().p99();
-    result.tail.p999_us = lat.tails().p999();
-    result.tail.exact_p50_us = lat.reservoir().quantile(0.50);
-    result.tail.exact_p99_us = lat.reservoir().quantile(0.99);
-    result.tail.exact_p999_us = lat.reservoir().quantile(0.999);
-    result.tail.mean_us = lat.tails().mean();
-    result.tail.max_us = lat.tails().max();
-    result.tail.samples = lat.tails().count();
+    const std::vector<double> q = lat.reservoir().quantiles({0.50, 0.95, 0.99, 0.999});
+    result.tail.p50_us = result.tail.exact_p50_us = q[0];
+    result.tail.p95_us = q[1];
+    result.tail.p99_us = result.tail.exact_p99_us = q[2];
+    result.tail.p999_us = result.tail.exact_p999_us = q[3];
+    result.tail.mean_us = lat.stats().mean();
+    result.tail.max_us = lat.stats().max();
+    result.tail.samples = lat.stats().count();
 
     const serving::SloAccountant& slo = server.slo();
     for (std::size_t i = 0; i < slo.budget_count(); ++i) {

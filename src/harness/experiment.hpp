@@ -287,8 +287,11 @@ struct ServerRunConfig {
   bool attribution = false;
 };
 
-/// Latency tails in microseconds: streaming P² estimates plus the exact
-/// reservoir cross-check (serving/slo.hpp).
+/// Latency tails in microseconds, all nearest-rank order statistics of
+/// one sorted copy of the latency reservoir (serving/slo.hpp), so
+/// p50 <= p95 <= p99 <= p999 <= max. The exact_* fields repeat p50/p99/
+/// p999 under the names the benchmark driver reads; mean, max and
+/// samples cover every completed request.
 struct ServerTailSummary {
   double p50_us = 0.0;
   double p95_us = 0.0;

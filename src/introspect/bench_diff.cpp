@@ -218,7 +218,7 @@ DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& current, double 
     d.key = key;
     d.baseline = base_value;
     d.current = it->second;
-    d.ratio = base_value != 0.0 ? it->second / base_value : 0.0;
+    d.ratio = base_value != 0.0 ? it->second / base_value : it->second == 0.0 ? 1.0 : 0.0;
     d.gated = is_gated(key);
     d.regressed = d.gated && d.current < d.baseline * (1.0 - threshold);
     result.pass = result.pass && !d.regressed;
@@ -262,8 +262,13 @@ std::string format_diff(const DiffResult& result, std::string_view title) {
   out += " ==\n";
   char buf[192];
   for (const MetricDelta& d : result.deltas) {
-    std::snprintf(buf, sizeof(buf), "  %-40s %14.4g -> %14.4g  (%+7.2f%%)%s%s\n", d.key.c_str(),
-                  d.baseline, d.current, (d.ratio - 1.0) * 100.0, d.gated ? " [gated]" : "",
+    // A change away from 0 has no relative size.
+    char change[32] = "(  from 0)";
+    if (d.baseline != 0.0 || d.current == 0.0) {
+      std::snprintf(change, sizeof(change), "(%+7.2f%%)", (d.ratio - 1.0) * 100.0);
+    }
+    std::snprintf(buf, sizeof(buf), "  %-40s %14.4g -> %14.4g  %s%s%s\n", d.key.c_str(),
+                  d.baseline, d.current, change, d.gated ? " [gated]" : "",
                   d.regressed ? " REGRESSED" : "");
     out += buf;
   }

@@ -39,7 +39,8 @@ struct MetricDelta {
   std::string key;
   double baseline = 0.0;
   double current = 0.0;
-  /// current / baseline; 0 when the baseline is 0.
+  /// current / baseline; 1 when both are 0, 0 when only the baseline is
+  /// (format_diff then prints no percentage).
   double ratio = 0.0;
   bool gated = false;     // participates in the pass/fail verdict
   bool regressed = false; // gated and beyond the threshold

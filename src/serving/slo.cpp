@@ -26,17 +26,20 @@ void ReservoirSample::add(double x) {
   }
 }
 
-double ReservoirSample::quantile(double q) const {
+std::vector<double> ReservoirSample::quantiles(std::initializer_list<double> qs) const {
+  std::vector<double> out(qs.size(), 0.0);
   if (sample_.empty()) {
-    return 0.0;
+    return out;
   }
   std::vector<double> sorted = sample_;
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  auto rank = static_cast<std::size_t>(clamped * static_cast<double>(sorted.size()));
-  rank = std::min(rank, sorted.size() - 1);
-  auto nth = sorted.begin() + static_cast<std::ptrdiff_t>(rank);
-  std::nth_element(sorted.begin(), nth, sorted.end());
-  return *nth;
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t i = 0;
+  for (const double q : qs) {
+    const auto rank =
+        static_cast<std::size_t>(std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size()));
+    out[i++] = sorted[std::min(rank, sorted.size() - 1)];
+  }
+  return out;
 }
 
 SloAccountant::SloAccountant(std::vector<SloBudget> budgets)

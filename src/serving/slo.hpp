@@ -7,14 +7,14 @@
 // request is a broken promise to its user too, so it counts against
 // every budget.
 //
-// The latency recorder pairs the streaming P² tail estimator with an
-// exact reservoir sample. P² is O(1) memory but approximate; the
-// reservoir keeps a uniform subset and computes exact order statistics
-// over it, which bounds the streaming estimate and backs the
-// differential test in tests/test_stats.cpp.
+// The latency recorder keeps exact moments over every request and a
+// uniform reservoir sample of them; every reported percentile is a
+// nearest-rank order statistic of one sorted copy of that sample, so a
+// tail vector is monotone in q by construction.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -31,8 +31,10 @@ class ReservoirSample {
   ReservoirSample(std::size_t capacity, Rng rng);
 
   void add(double x);
-  /// Exact q-quantile (nearest rank) of the retained sample; 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
+  /// Exact quantiles of the retained sample, in the order asked, read from
+  /// one sorted copy: sample[min(floor(q·n), n−1)] for each q (clamped to
+  /// [0, 1]). Monotone in q; all 0 when empty.
+  [[nodiscard]] std::vector<double> quantiles(std::initializer_list<double> qs) const;
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
   [[nodiscard]] std::size_t size() const noexcept { return sample_.size(); }
 
@@ -74,7 +76,8 @@ class SloAccountant {
   std::uint64_t shed_ = 0;
 };
 
-/// Streaming tails plus exact cross-check over one latency stream.
+/// One latency stream: exact moments over every request, tails from the
+/// reservoir.
 class LatencyRecorder {
  public:
   static constexpr std::size_t kReservoirCapacity = 4096;
@@ -82,15 +85,15 @@ class LatencyRecorder {
   explicit LatencyRecorder(Rng rng) : reservoir_(kReservoirCapacity, rng.fork("reservoir")) {}
 
   void add(double latency) {
-    tails_.add(latency);
+    stats_.add(latency);
     reservoir_.add(latency);
   }
 
-  [[nodiscard]] const TailQuantiles& tails() const noexcept { return tails_; }
+  [[nodiscard]] const RunningStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ReservoirSample& reservoir() const noexcept { return reservoir_; }
 
  private:
-  TailQuantiles tails_;
+  RunningStats stats_;
   ReservoirSample reservoir_;
 };
 

@@ -59,7 +59,7 @@ namespace hpmmap::snapshot {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
-constexpr std::uint32_t kVersion = 4; // v4: one payload framed by length + digest
+constexpr std::uint32_t kVersion = 5; // v5: length + digest frame, log-linear histograms
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.

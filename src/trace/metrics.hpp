@@ -2,12 +2,13 @@
 //
 // Tracepoints record *events*; metrics record *aggregates* that survive
 // ring-buffer overwrites: monotonically increasing counters and
-// streaming histograms with p50/p95/p99 (P² estimators — event volume
-// rules out retaining samples). String keys must be literals; lookups
-// are by content, so dotted hierarchical names ("fault.cycles.small")
-// group naturally in reports.
+// streaming histograms with p50/p95/p99 (log-linear buckets — event
+// volume rules out retaining samples). String keys must be literals;
+// lookups are by content, so dotted hierarchical names
+// ("fault.cycles.small") group naturally in reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,17 +22,27 @@ struct Access;
 
 namespace hpmmap::trace {
 
-/// Streaming distribution summary: Welford moments + P² percentile
-/// markers. O(1) memory per histogram regardless of event volume.
+/// Streaming distribution summary: Welford moments plus a fixed
+/// log-linear (HDR-style) bucket array, so memory stays O(1) per
+/// histogram regardless of event volume. Values are bucketed as whole
+/// numbers (callers record cycle counts; fractions are dropped): below
+/// 2·S every value has its own bucket, and each power of two above that
+/// splits into S equal buckets, S = kSubBuckets. A percentile is the
+/// midpoint of the bucket holding the nearest-rank sample, clamped to
+/// [min, max], so for whole-number inputs it is within kRelativeError =
+/// 1/(2S) of the exact nearest-rank value, and p50 <= p95 <= p99 <= max.
+/// Trivially copyable: snapshots store it as raw bytes.
 class Histogram {
  public:
-  Histogram() : p50_(0.50), p95_(0.95), p99_(0.99) {}
+  static constexpr unsigned kSubBits = 5;
+  static constexpr std::uint64_t kSubBuckets = std::uint64_t{1} << kSubBits;
+  /// 2·S exact buckets, then S per power of two from 2^(kSubBits+1) to 2^63.
+  static constexpr std::size_t kBuckets = (64 - kSubBits + 1) * kSubBuckets;
+  static constexpr double kRelativeError = 0.5 / static_cast<double>(kSubBuckets);
 
   void add(double x) noexcept {
     stats_.add(x);
-    p50_.add(x);
-    p95_.add(x);
-    p99_.add(x);
+    ++counts_[bucket(x)];
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return stats_.count(); }
@@ -39,15 +50,17 @@ class Histogram {
   [[nodiscard]] double stdev() const noexcept { return stats_.stdev(); }
   [[nodiscard]] double min() const noexcept { return stats_.min(); }
   [[nodiscard]] double max() const noexcept { return stats_.max(); }
-  [[nodiscard]] double p50() const noexcept { return p50_.value(); }
-  [[nodiscard]] double p95() const noexcept { return p95_.value(); }
-  [[nodiscard]] double p99() const noexcept { return p99_.value(); }
+  /// Nearest-rank q-quantile (rank min(floor(q·n), n−1)); 0 when empty.
+  [[nodiscard]] double quantile(double q) const noexcept;
+  [[nodiscard]] double p50() const noexcept { return quantile(0.50); }
+  [[nodiscard]] double p95() const noexcept { return quantile(0.95); }
+  [[nodiscard]] double p99() const noexcept { return quantile(0.99); }
 
  private:
+  [[nodiscard]] static std::size_t bucket(double x) noexcept;
+
   RunningStats stats_;
-  P2Quantile p50_;
-  P2Quantile p95_;
-  P2Quantile p99_;
+  std::uint64_t counts_[kBuckets] = {};
 };
 
 /// Registry of named counters and histograms. Not thread-safe (the

@@ -416,6 +416,36 @@ TEST(BenchDiff, ExplicitGateKeysOverrideDefaults) {
   }
 }
 
+/// The report line of one key.
+std::string diff_line(const std::string& report, const std::string& key) {
+  const std::size_t at = report.find("  " + key + " ");
+  return at == std::string::npos ? std::string{} : report.substr(at, report.find('\n', at) - at);
+}
+
+TEST(BenchDiff, ZeroInBothDocumentsIsUnchanged) {
+  auto base = introspect::parse_bench_json(kBenchJson);
+  base->numbers["stdev_s"] = 0.0;
+  const auto cur = base;
+  const auto r = introspect::diff_bench(*base, *cur, 0.10);
+  const std::string line = diff_line(introspect::format_diff(r, "mm"), "stdev_s");
+  EXPECT_NE(line.find("(  +0.00%)"), std::string::npos) << line;
+  for (const introspect::MetricDelta& d : r.deltas) {
+    EXPECT_EQ(d.ratio, 1.0) << d.key;
+  }
+}
+
+TEST(BenchDiff, ChangeFromZeroHasNoPercentage) {
+  auto base = introspect::parse_bench_json(kBenchJson);
+  base->numbers["stdev_s"] = 0.0;
+  auto cur = base;
+  cur->numbers["stdev_s"] = 0.25;
+  const auto r = introspect::diff_bench(*base, *cur, 0.10);
+  EXPECT_TRUE(r.pass);
+  const std::string line = diff_line(introspect::format_diff(r, "mm"), "stdev_s");
+  EXPECT_NE(line.find("(  from 0)"), std::string::npos) << line;
+  EXPECT_EQ(line.find('%'), std::string::npos) << line;
+}
+
 constexpr const char* kSpeedupJson = R"({
   "bench": "batch_runner",
   "wall_seconds_jobsN": 2.0,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,6 +20,9 @@
 #include "serving/arrival.hpp"
 #include "serving/slab.hpp"
 #include "serving/slo.hpp"
+#include "trace/metrics.hpp"
+#include "trace/trace.hpp"
+#include "workloads/profiles.hpp"
 
 namespace hpmmap::serving {
 namespace {
@@ -198,9 +202,11 @@ TEST(ReservoirSample, ExactWhenUnderCapacity) {
     res.add(static_cast<double>(i));
   }
   EXPECT_EQ(res.size(), 100u);
-  EXPECT_DOUBLE_EQ(res.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(res.quantile(1.0), 100.0);
-  EXPECT_NEAR(res.quantile(0.5), 50.0, 1.0);
+  const std::vector<double> q = res.quantiles({0.0, 0.5, 1.0});
+  EXPECT_DOUBLE_EQ(q[0], 1.0);
+  EXPECT_DOUBLE_EQ(q[1], 51.0); // nearest rank floor(0.5 * 100) of 1..100
+  EXPECT_DOUBLE_EQ(q[2], 100.0);
+  EXPECT_EQ(ReservoirSample(4, Rng(9)).quantiles({0.5, 0.99}), (std::vector<double>{0.0, 0.0}));
 }
 
 TEST(ReservoirSample, SubsamplesLargeStreams) {
@@ -211,7 +217,7 @@ TEST(ReservoirSample, SubsamplesLargeStreams) {
   EXPECT_EQ(res.size(), 256u);
   EXPECT_EQ(res.seen(), 100'000u);
   // Uniform over [0, 1000): the reservoir median should land near 500.
-  EXPECT_NEAR(res.quantile(0.5), 500.0, 120.0);
+  EXPECT_NEAR(res.quantiles({0.5})[0], 500.0, 120.0);
 }
 
 // --- full server runs: determinism contracts ------------------------------
@@ -329,6 +335,51 @@ TEST(ServerRun, QueueTimeoutShedsStaleRequests) {
   cfg.service.queue_timeout_seconds = 0.0005;
   const harness::ServerRunResult r = harness::run_server(cfg);
   EXPECT_GT(r.server.shed_timeout, 0u);
+}
+
+TEST(ServerRun, ReportedPercentilesAreMonotone) {
+  // 80k rps beside a kernel build, the operating point where per-quantile
+  // streaming estimates used to cross (p95 above p99). Serving tails come
+  // from one sorted reservoir copy and trace histograms from one bucket
+  // walk, so every reported vector must be ordered.
+  for (const harness::Manager m :
+       {harness::Manager::kThp, harness::Manager::kHugetlbfs, harness::Manager::kHpmmap}) {
+    harness::ServerRunConfig cfg;
+    cfg.manager = m;
+    cfg.seed = 42;
+    cfg.arrival.mean_rps = 80'000.0;
+    cfg.duration_scale = 0.1;
+    cfg.commodity = workloads::profile_a(cfg.service.workers);
+    const auto trials = harness::run_server_trials(cfg, 3);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      const harness::ServerTailSummary& t = trials[i].tail;
+      SCOPED_TRACE(std::string(name(m)) + " trial " + std::to_string(i));
+      EXPECT_GT(t.samples, 0u);
+      EXPECT_LE(t.p50_us, t.p95_us);
+      EXPECT_LE(t.p95_us, t.p99_us);
+      EXPECT_LE(t.p99_us, t.p999_us);
+      EXPECT_LE(t.p999_us, t.max_us);
+    }
+  }
+
+  harness::ServerRunConfig traced;
+  traced.manager = harness::Manager::kThp;
+  traced.seed = 42;
+  traced.arrival.mean_rps = 80'000.0;
+  traced.duration_scale = 0.02;
+  traced.commodity = workloads::profile_a(traced.service.workers);
+  traced.trace.categories = trace::kAllCategories;
+  (void)harness::run_server(traced);
+  const auto& histograms = trace::metrics().histograms();
+  EXPECT_FALSE(histograms.empty());
+  for (const auto& [hname, h] : histograms) {
+    SCOPED_TRACE(hname);
+    EXPECT_GT(h.count(), 0u);
+    EXPECT_LE(h.min(), h.p50());
+    EXPECT_LE(h.p50(), h.p95());
+    EXPECT_LE(h.p95(), h.p99());
+    EXPECT_LE(h.p99(), h.max());
+  }
 }
 
 } // namespace

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "trace/metrics.hpp"
 
 namespace hpmmap {
 namespace {
@@ -131,7 +133,7 @@ TEST(Samples, EmptySafe) {
   EXPECT_EQ(s.percentile(50), 0.0);
 }
 
-// Deterministic LCG (MMIX constants) so the P² accuracy checks are
+// Deterministic LCG (MMIX constants) so the histogram accuracy check is
 // reproducible without seeding std::mt19937 differently per platform.
 class Lcg {
  public:
@@ -145,96 +147,13 @@ class Lcg {
   std::uint64_t state_;
 };
 
-TEST(P2Quantile, EmptyIsZero) {
-  P2Quantile q(0.5);
-  EXPECT_EQ(q.count(), 0u);
-  EXPECT_EQ(q.value(), 0.0);
-}
-
-TEST(P2Quantile, ExactBelowFiveSamples) {
-  // With fewer than five samples P² stores them and interpolates the
-  // sorted set directly, so small streams stay exact.
-  P2Quantile median(0.5);
-  median.add(30.0);
-  median.add(10.0);
-  median.add(20.0);
-  EXPECT_DOUBLE_EQ(median.value(), 20.0);
-
-  P2Quantile q95(0.95);
-  q95.add(1.0);
-  q95.add(2.0);
-  EXPECT_NEAR(q95.value(), 1.95, 1e-12);
-}
-
-TEST(P2Quantile, MedianOfUniformStream) {
-  P2Quantile median(0.5);
-  Lcg rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    median.add(rng.uniform01());
-  }
-  EXPECT_EQ(median.count(), 20000u);
-  EXPECT_NEAR(median.value(), 0.5, 0.02);
-}
-
-TEST(P2Quantile, TailQuantilesOfUniformStream) {
-  P2Quantile q95(0.95);
-  P2Quantile q99(0.99);
-  Lcg rng(42);
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.uniform01();
-    q95.add(x);
-    q99.add(x);
-  }
-  EXPECT_NEAR(q95.value(), 0.95, 0.01);
-  EXPECT_NEAR(q99.value(), 0.99, 0.01);
-}
-
-TEST(P2Quantile, TracksExactPercentileOnSkewedData) {
-  // Exponential-ish heavy tail (inverse-CDF of uniform), the shape of
-  // fault-cost distributions. Compare against the exact batch percentile.
-  P2Quantile q95(0.95);
-  Samples exact;
-  Lcg rng(1234);
-  for (int i = 0; i < 30000; ++i) {
-    const double u = rng.uniform01();
-    const double x = -std::log(1.0 - u); // Exp(1)
-    q95.add(x);
-    exact.add(x);
-  }
-  const double truth = exact.percentile(95.0);
-  EXPECT_NEAR(q95.value(), truth, 0.05 * truth);
-}
-
-TEST(P2Quantile, ConstantStream) {
-  P2Quantile q(0.9);
-  for (int i = 0; i < 100; ++i) {
-    q.add(7.5);
-  }
-  EXPECT_DOUBLE_EQ(q.value(), 7.5);
-}
-
-TEST(P2Quantile, SortedAndReversedInputAgree) {
-  // Marker adjustment must not depend on arrival order for a stable
-  // distribution: ascending and descending streams of the same values
-  // land near the same estimate.
-  P2Quantile up(0.5);
-  P2Quantile down(0.5);
-  for (int i = 0; i < 10001; ++i) {
-    up.add(static_cast<double>(i));
-    down.add(static_cast<double>(10000 - i));
-  }
-  EXPECT_NEAR(up.value(), 5000.0, 150.0);
-  EXPECT_NEAR(down.value(), 5000.0, 150.0);
-}
-
-TEST(TailQuantiles, DifferentialAgainstExactSortedLognormal) {
-  // The serving figures report p50/p95/p99/p99.9 from four P² markers;
-  // this differential test bounds each against the exact sorted-sample
-  // quantile on a lognormal latency stream (the shape request latencies
-  // take: a tight body with a multiplicative tail). The far tail is the
-  // loosest — P²'s p99.9 markers see only ~30 over-quantile samples
-  // here — so the bound widens with q.
-  TailQuantiles tails;
+TEST(TraceHistogram, DifferentialAgainstExactSortedLognormal) {
+  // Bounds the trace histogram's percentiles against the exact sorted
+  // sample on a lognormal stream of whole cycle counts (median 20k
+  // cycles; the shape fault and request latencies take: a tight body
+  // with a multiplicative tail). Same nearest-rank rule on both sides,
+  // so the only error is the bucket width: kRelativeError at every q.
+  trace::Histogram h;
   std::vector<double> all;
   Lcg rng(20240);
   for (int i = 0; i < 30000; ++i) {
@@ -242,45 +161,58 @@ TEST(TailQuantiles, DifferentialAgainstExactSortedLognormal) {
     const double u1 = std::max(rng.uniform01(), 1e-12);
     const double u2 = rng.uniform01();
     const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * 3.14159265358979 * u2);
-    const double x = std::exp(0.8 * z);
-    tails.add(x);
+    const double x = std::floor(20000.0 * std::exp(0.8 * z));
+    h.add(x);
     all.push_back(x);
   }
   std::sort(all.begin(), all.end());
-  const auto exact = [&](double q) {
-    const auto rank = static_cast<std::size_t>(q * static_cast<double>(all.size() - 1));
-    return all[rank];
-  };
-  constexpr double kTolerance[TailQuantiles::kCount] = {0.05, 0.05, 0.10, 0.25};
-  for (std::size_t i = 0; i < TailQuantiles::kCount; ++i) {
-    const double truth = exact(TailQuantiles::kQuantiles[i]);
-    EXPECT_NEAR(tails.value(i), truth, kTolerance[i] * truth)
-        << TailQuantiles::kLabels[i] << " drifted from the exact sorted quantile";
+  double previous = 0.0;
+  for (const double q : {0.50, 0.95, 0.99, 0.999}) {
+    const auto rank = static_cast<std::size_t>(q * static_cast<double>(all.size()));
+    const double truth = all[std::min(rank, all.size() - 1)];
+    const double estimate = h.quantile(q);
+    EXPECT_NEAR(estimate, truth, trace::Histogram::kRelativeError * truth) << "q=" << q;
+    EXPECT_GE(estimate, previous) << "q=" << q;
+    previous = estimate;
   }
-  EXPECT_EQ(tails.count(), 30000u);
-  EXPECT_DOUBLE_EQ(tails.max(), all.back());
-  EXPECT_DOUBLE_EQ(tails.min(), all.front());
-  // Monotone in q when read from the same stream's exact values.
-  EXPECT_LT(tails.p50(), tails.p999());
+  EXPECT_EQ(h.count(), 30000u);
+  EXPECT_DOUBLE_EQ(h.max(), all.back());
+  EXPECT_DOUBLE_EQ(h.min(), all.front());
+  EXPECT_LE(h.p99(), h.max());
 }
 
-TEST(Log2Histogram, BucketsByPowerOfTwo) {
-  Log2Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1024);
-  EXPECT_EQ(h.bucket_count(0), 2u); // 0 and 1
-  EXPECT_EQ(h.bucket_count(1), 2u); // 2 and 3
-  EXPECT_EQ(h.bucket_count(10), 1u);
-  EXPECT_EQ(h.total(), 5u);
+TEST(TraceHistogram, ExactBelowTwoSubBucketRunsAndClampedToRange) {
+  trace::Histogram h;
+  EXPECT_EQ(h.p50(), 0.0);
+  for (int v = 0; v < 2 * static_cast<int>(trace::Histogram::kSubBuckets); ++v) {
+    h.add(static_cast<double>(v));
+  }
+  EXPECT_EQ(h.p50(), 32.0); // rank floor(0.5 * 64) of 0..63, one bucket each
+  EXPECT_EQ(h.quantile(0.0), 0.0);
+  EXPECT_EQ(h.quantile(1.0), 63.0);
+  // Values past 2^64 and below zero land in the end buckets; reported
+  // values stay inside the observed [min, max].
+  h.add(1e30);
+  h.add(-5.0);
+  EXPECT_EQ(h.quantile(0.0), 0.0);
+  EXPECT_GE(h.quantile(1.0), 0x1p63);
+  EXPECT_LE(h.quantile(1.0), h.max());
 }
 
-TEST(Log2Histogram, LargeValuesClampToLastBucket) {
-  Log2Histogram h;
-  h.add(~0ull);
-  EXPECT_EQ(h.bucket_count(63), 1u);
+TEST(TraceHistogram, WalkStaysInBoundsWhenCountsDisagreeWithTotal) {
+  // Snapshots restore a histogram as raw bytes, so its bucket counts
+  // may not sum to count(). Zeroed buckets under a count of 1000 must
+  // end the percentile walk at the last bucket, not past the array.
+  trace::Histogram h;
+  for (int v = 1; v <= 1000; ++v) {
+    h.add(static_cast<double>(v));
+  }
+  constexpr std::size_t kCountBytes = trace::Histogram::kBuckets * sizeof(std::uint64_t);
+  static_assert(sizeof(trace::Histogram) == sizeof(RunningStats) + kCountBytes);
+  std::memset(reinterpret_cast<unsigned char*>(&h) + sizeof(RunningStats), 0, kCountBytes);
+  EXPECT_EQ(h.count(), 1000u);
+  EXPECT_EQ(h.p50(), 1000.0); // the walk's end, clamped to max
+  EXPECT_EQ(h.p99(), 1000.0);
 }
 
 } // namespace
