@@ -12,10 +12,14 @@
 //   BENCH_batch.json — wall-time of a Figure-8-shaped sweep (2 managers
 //   x 4 trials of 8-node HPCCG under profile C) through the batch runner
 //   at --jobs 1 vs --jobs N, with a byte-identity self-check on the two
-//   result sets. On a single-hardware-thread host the speedup honestly
-//   reports ~1x; the `hardware_concurrency` field says why.
+//   result sets. Each side is timed kBatchRuns times, serial and
+//   parallel runs interleaved so host-speed drift hits both alike, and
+//   the speedup is the ratio of the two medians. On a
+//   single-hardware-thread host the speedup honestly reports ~1x; the
+//   `hardware_concurrency` field says why.
 //
 // Usage: bench_engine_throughput [--full] [--jobs N] [--out-dir DIR]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -217,19 +221,28 @@ std::vector<harness::ScalingRunConfig> sweep_configs(bool full) {
   return cfgs;
 }
 
+/// Runs per side of the batch speedup; odd, so the median is one run.
+constexpr unsigned kBatchRuns = 3;
+
 struct BatchTiming {
-  double wall_seconds = 0.0;
+  std::vector<double> wall_seconds; // one per run
   std::vector<harness::SeriesPoint> points;
+
+  [[nodiscard]] double median() const {
+    std::vector<double> sorted = wall_seconds;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
 };
 
-BatchTiming time_sweep(const std::vector<harness::ScalingRunConfig>& cfgs,
-                       std::uint32_t trials, unsigned jobs) {
-  BatchTiming t;
+/// One more timed sweep into `t`; the result points of the latest run
+/// replace the earlier ones.
+void time_sweep(BatchTiming& t, const std::vector<harness::ScalingRunConfig>& cfgs,
+                std::uint32_t trials, unsigned jobs) {
   const auto t0 = std::chrono::steady_clock::now();
   t.points = harness::run_trials_batch(cfgs, trials, jobs);
-  t.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return t;
+  t.wall_seconds.push_back(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
 }
 
 bool identical(const std::vector<harness::SeriesPoint>& a,
@@ -303,14 +316,18 @@ int main(int argc, char** argv) {
   const unsigned jobs = opt.jobs == 0 ? harness::hardware_jobs() : opt.jobs;
   const std::uint32_t trials = 4;
   const std::vector<harness::ScalingRunConfig> cfgs = sweep_configs(opt.full);
-  const BatchTiming serial = time_sweep(cfgs, trials, 1);
-  const BatchTiming par = time_sweep(cfgs, trials, jobs);
-  const bool match = identical(serial.points, par.points);
-  const double speedup =
-      par.wall_seconds > 0 ? serial.wall_seconds / par.wall_seconds : 0.0;
-  std::printf("batch:    %zu tasks  jobs=1 %.3f s   jobs=%u %.3f s   speedup "
-              "%.2fx   identical=%s\n",
-              cfgs.size() * trials, serial.wall_seconds, jobs, par.wall_seconds,
+  BatchTiming serial;
+  BatchTiming par;
+  bool match = true;
+  for (unsigned run = 0; run < kBatchRuns; ++run) {
+    time_sweep(serial, cfgs, trials, 1);
+    time_sweep(par, cfgs, trials, jobs);
+    match = match && identical(serial.points, par.points);
+  }
+  const double speedup = par.median() > 0 ? serial.median() / par.median() : 0.0;
+  std::printf("batch:    %zu tasks  jobs=1 %.3f s   jobs=%u %.3f s   (medians of %u)   "
+              "speedup %.2fx   identical=%s\n",
+              cfgs.size() * trials, serial.median(), jobs, par.median(), kBatchRuns,
               speedup, match ? "yes" : "NO");
 
   std::string bj;
@@ -319,8 +336,9 @@ int main(int argc, char** argv) {
   bj += "  \"sweep\": \"HPCCG profile C, 8 nodes, HPMMAP vs THP\",\n";
   bj += "  \"tasks\": " + std::to_string(cfgs.size() * trials) + ",\n";
   bj += "  \"trials_per_config\": " + std::to_string(trials) + ",\n";
-  bj += "  \"wall_seconds_jobs1\": " + num(serial.wall_seconds) + ",\n";
-  bj += "  \"wall_seconds_jobsN\": " + num(par.wall_seconds) + ",\n";
+  bj += "  \"runs_per_side\": " + std::to_string(kBatchRuns) + ",\n";
+  bj += "  \"wall_seconds_jobs1\": " + num(serial.median()) + ",\n";
+  bj += "  \"wall_seconds_jobsN\": " + num(par.median()) + ",\n";
   bj += "  \"jobs\": " + std::to_string(jobs) + ",\n";
   bj += "  \"speedup\": " + num(speedup) + ",\n";
   bj += "  \"hardware_concurrency\": " + std::to_string(harness::hardware_jobs()) +

@@ -17,7 +17,8 @@
 //
 // Exits 1 if any request's buckets fail to sum to its measured latency
 // (the decomposition is exact on the virtual clock by construction, so
-// a residual is a bug, not noise), or if inputs are unreadable.
+// a residual is a bug, not noise), if inputs are unreadable, or if
+// --top / --clock-hz is not a number in range.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "profile/attribution.hpp"
 #include "profile/contention.hpp"
 #include "trace/export.hpp"
@@ -72,9 +74,9 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--folded") && i + 1 < argc) {
       folded_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--top") && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      top_n = static_cast<std::size_t>(parse_whole("--top", argv[++i], 1, SIZE_MAX));
     } else if (!std::strcmp(argv[i], "--clock-hz") && i + 1 < argc) {
-      clock_hz = std::atof(argv[++i]);
+      clock_hz = parse_positive("--clock-hz", argv[++i]);
     } else if (argv[i][0] == '-') {
       usage();
     } else if (trace_path.empty()) {

@@ -18,10 +18,7 @@
 // OpenMetrics text + CSV twin on disk, and Perfetto counter tracks
 // spliced into the --trace-out JSON when both are given. --procfs-dump
 // prints the kernel-style /proc view of every node at run end.
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +27,7 @@
 #include <string>
 
 #include "cluster/network.hpp"
+#include "common/cli.hpp"
 #include "harness/batch.hpp"
 #include "harness/cluster.hpp"
 #include "hw/machine.hpp"
@@ -132,37 +130,9 @@ using namespace hpmmap;
   std::exit(0);
 }
 
-/// A whole-number option's value: a decimal number in [min, max].
-/// Anything else exits 1 naming the option.
-std::uint64_t parse_whole(const char* option, const char* text, std::uint64_t min,
-                          std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || *end != '\0' ||
-      errno == ERANGE || v < min || v > max) {
-    std::fprintf(stderr, "%s needs a whole number >= %llu (got '%s')\n", option,
-                 static_cast<unsigned long long>(min), text);
-    std::exit(1);
-  }
-  return v;
-}
-
 /// A count option's value: a whole number of at least `min` that fits 32 bits.
 std::uint32_t parse_count(const char* option, const char* text, std::uint32_t min) {
   return static_cast<std::uint32_t>(parse_whole(option, text, min, UINT32_MAX));
-}
-
-/// A real-valued option's value: a finite decimal number > 0. Anything
-/// else exits 1 naming the option.
-double parse_positive(const char* option, const char* text) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "%s needs a finite number > 0 (got '%s')\n", option, text);
-    std::exit(1);
-  }
-  return v;
 }
 
 harness::Manager parse_manager(const std::string& s) {

@@ -107,7 +107,7 @@ class BuddyAllocator {
   [[nodiscard]] Range range() const noexcept { return range_; }
 
   /// The frame-metadata array for this range. The page cache and hugetlb
-  /// pool thread their intrusive state through it; the auditor
+  /// pool mark the heads of the blocks they own in it; the auditor
   /// cross-checks it against the freelists.
   [[nodiscard]] hw::MemMap& mem_map() noexcept { return map_; }
   [[nodiscard]] const hw::MemMap& mem_map() const noexcept { return map_; }

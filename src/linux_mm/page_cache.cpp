@@ -1,5 +1,7 @@
 #include "linux_mm/page_cache.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace hpmmap::mm {
@@ -15,32 +17,22 @@ void PageCache::push_back_block(Addr addr, unsigned order, bool dirty) {
   const std::uint32_t idx = m.index_of(addr);
   HPMMAP_ASSERT(m.state(idx) == FrameState::kUntracked, "block already cached");
   m.set_head(idx, dirty ? FrameState::kCacheDirty : FrameState::kCacheClean, order);
-  m.set_link(idx, MemMap::Link{MemMap::kNil, tail_});
-  if (tail_ != MemMap::kNil) {
-    m.set_next(tail_, idx);
-  } else {
-    head_ = idx;
-  }
-  tail_ = idx;
+  lru_.push_back(idx);
   ++count_;
   cached_bytes_ += BuddyAllocator::order_bytes(order);
 }
 
-void PageCache::unlink(std::uint32_t idx) {
+std::pair<unsigned, bool> PageCache::free_oldest() {
   MemMap& m = buddy_.mem_map();
-  const MemMap::Link l = m.link(idx);
-  if (l.prev != MemMap::kNil) {
-    m.set_next(l.prev, l.next);
-  } else {
-    head_ = l.next;
-  }
-  if (l.next != MemMap::kNil) {
-    m.set_prev(l.next, l.prev);
-  } else {
-    tail_ = l.prev;
-  }
-  m.erase_link(idx);
+  const std::uint32_t idx = lru_.front();
+  lru_.pop_front();
   --count_;
+  const unsigned order = m.order(idx);
+  const bool dirty = m.state(idx) == FrameState::kCacheDirty;
+  m.clear_head(idx);
+  cached_bytes_ -= BuddyAllocator::order_bytes(order);
+  buddy_.free(m.addr_of(idx), order);
+  return {order, dirty};
 }
 
 std::uint64_t PageCache::grow(std::uint64_t bytes, unsigned order, bool dirty) {
@@ -73,18 +65,9 @@ void PageCache::adopt(Addr addr, unsigned order, bool dirty) {
 
 PageCache::ShrinkResult PageCache::shrink(std::uint64_t bytes) {
   ShrinkResult result;
-  MemMap& m = buddy_.mem_map();
-  while (result.bytes_freed < bytes && head_ != MemMap::kNil) {
-    const std::uint32_t idx = head_;
-    const Addr addr = m.addr_of(idx);
-    const unsigned order = m.order(idx);
-    const bool dirty = m.state(idx) == FrameState::kCacheDirty;
-    unlink(idx);
-    m.clear_head(idx);
-    const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
-    buddy_.free(addr, order);
-    cached_bytes_ -= block_bytes;
-    result.bytes_freed += block_bytes;
+  while (result.bytes_freed < bytes && !lru_.empty()) {
+    const auto [order, dirty] = free_oldest();
+    result.bytes_freed += BuddyAllocator::order_bytes(order);
     if (dirty) {
       ++result.writeback_blocks;
     } else {
@@ -95,15 +78,8 @@ PageCache::ShrinkResult PageCache::shrink(std::uint64_t bytes) {
 }
 
 void PageCache::clear() {
-  MemMap& m = buddy_.mem_map();
-  while (head_ != MemMap::kNil) {
-    const std::uint32_t idx = head_;
-    const Addr addr = m.addr_of(idx);
-    const unsigned order = m.order(idx);
-    unlink(idx);
-    m.clear_head(idx);
-    cached_bytes_ -= BuddyAllocator::order_bytes(order);
-    buddy_.free(addr, order);
+  while (!lru_.empty()) {
+    (void)free_oldest();
   }
   HPMMAP_ASSERT(cached_bytes_ == 0, "cache accounting drift");
 }
@@ -114,9 +90,9 @@ void PageCache::relocate(Addr old_addr, Addr new_addr) {
   const FrameState st = m.state(io);
   HPMMAP_ASSERT(st == FrameState::kCacheClean || st == FrameState::kCacheDirty,
                 "relocate of a block the cache does not own");
+  const auto pos = std::find(lru_.begin(), lru_.end(), io);
+  HPMMAP_ASSERT(pos != lru_.end(), "relocate of a block missing from the LRU");
   const unsigned order = m.order(io);
-  const MemMap::Link l = m.link(io);
-  m.erase_link(io);
   m.clear_head(io);
   const std::uint32_t in = m.index_of(new_addr);
   // The target is normally a freshly-allocated (untracked) block, but
@@ -125,17 +101,12 @@ void PageCache::relocate(Addr old_addr, Addr new_addr) {
   HPMMAP_ASSERT(m.state(in) != FrameState::kCacheClean && m.state(in) != FrameState::kCacheDirty,
                 "relocate target already cached");
   m.set_head(in, st, order);
-  m.set_link(in, l);
-  if (l.prev != MemMap::kNil) {
-    m.set_next(l.prev, in);
-  } else {
-    head_ = in;
-  }
-  if (l.next != MemMap::kNil) {
-    m.set_prev(l.next, in);
-  } else {
-    tail_ = in;
-  }
+  *pos = in;
+}
+
+void PageCache::corrupt_drop_lru_entry(std::size_t pos) {
+  HPMMAP_ASSERT(pos < lru_.size(), "LRU position out of range");
+  lru_.erase(lru_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 } // namespace hpmmap::mm

@@ -11,15 +11,19 @@
 // relocate them to assemble contiguous 2M regions, so the cache supports
 // address lookup and relocation.
 //
-// There is no per-block heap state: the LRU is an intrusive list
-// threaded through the buddy's hw::MemMap link table, dirtiness and
-// order live in the per-frame meta byte (kCacheClean/kCacheDirty heads),
-// and block_containing() is an O(orders) align-down probe of that meta
-// instead of an ordered-map search — grow/shrink/relocate touch no
-// allocator and stay O(1) per block.
+// There is no per-block heap state: the LRU is a FIFO of frame indices
+// (blocks enter at the back and are reclaimed from the front), dirtiness
+// and order live in the per-frame meta byte of the buddy's hw::MemMap
+// (kCacheClean/kCacheDirty heads), and block_containing() is an
+// O(orders) align-down probe of that meta instead of an ordered-map
+// search — grow/shrink stay O(1) per block. relocate() rewrites its
+// entry in place after a linear find; only successful compaction
+// calls it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <utility>
 
@@ -88,16 +92,13 @@ class PageCache {
     });
   }
 
-  /// Visit the LRU chain front (oldest) to back as (base, order, dirty)
-  /// — the auditor's linkage walk. Bounded by block_count() so a
-  /// corrupted (cyclic) chain still terminates.
+  /// Visit the LRU front (oldest) to back as (base, order, dirty) — the
+  /// auditor's walk, which it checks against block_count().
   template <typename Fn>
   void for_each_lru(Fn&& fn) const {
     const hw::MemMap& m = buddy_.mem_map();
-    std::uint32_t idx = head_;
-    for (std::size_t n = 0; idx != hw::MemMap::kNil && n < count_; ++n) {
+    for (const std::uint32_t idx : lru_) {
       fn(m.addr_of(idx), m.order(idx), m.state(idx) == hw::FrameState::kCacheDirty);
-      idx = m.link(idx).next;
     }
   }
 
@@ -106,17 +107,22 @@ class PageCache {
   [[nodiscard]] double dirty_fraction() const noexcept { return dirty_fraction_; }
   void set_dirty_fraction(double f) noexcept { dirty_fraction_ = f; }
 
+  /// Error-injection hook for auditor tests ONLY: drop the LRU entry at
+  /// position `pos` (0 = oldest) without touching the block count or the
+  /// mem_map, so the LRU walk and the count disagree.
+  void corrupt_drop_lru_entry(std::size_t pos);
+
  private:
   friend struct hpmmap::snapshot::Access;
 
   void push_back_block(Addr addr, unsigned order, bool dirty);
-  /// Unlink `idx` from the LRU chain (meta untouched).
-  void unlink(std::uint32_t idx);
+  /// Reclaim the oldest block: off the LRU, meta cleared, freed to the
+  /// buddy. Returns its (order, dirty).
+  std::pair<unsigned, bool> free_oldest();
 
   BuddyAllocator& buddy_;
-  std::uint32_t head_ = hw::MemMap::kNil; // oldest (reclaimed first)
-  std::uint32_t tail_ = hw::MemMap::kNil; // newest
-  std::size_t count_ = 0;
+  std::deque<std::uint32_t> lru_; // frame indices, oldest at the front
+  std::size_t count_ = 0;         // kept apart from lru_ for the auditor
   std::uint64_t cached_bytes_ = 0;
   std::uint64_t free_floor_ = 0;
   double dirty_fraction_;

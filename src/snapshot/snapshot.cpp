@@ -59,7 +59,7 @@ namespace hpmmap::snapshot {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
-constexpr std::uint32_t kVersion = 5; // v5: length + digest frame, log-linear histograms
+constexpr std::uint32_t kVersion = 6; // v6: no mem_map link table; LRU/pool index sequences
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.
@@ -179,10 +179,18 @@ struct Access {
   template <class Ar>
   static void io(Ar& ar, hw::MemMap& m) {
     ar.expect(m.range_, "mem_map range mismatch");
-    ar(m.meta_, m.link_count_);
-    // The open-addressing link table verbatim, empty slots included, so
-    // probe chains restore bit-identically.
-    ar.pods(m.slots_);
+    ar(m.meta_);
+    ar.check(m.meta_.size() == m.range_.size() >> 12, "mem_map frame count mismatch");
+  }
+
+  /// A sequence of frame indices into `m` (LRU order, a pool stack);
+  /// Load rejects an index outside the map.
+  template <class Ar, class C>
+  static void frames(Ar& ar, C& seq, const hw::MemMap& m) {
+    ar.seq(seq, [&](std::uint32_t& idx) {
+      ar(idx);
+      ar.check(idx < m.frame_count(), "frame index out of range");
+    });
   }
 
   template <class Ar>
@@ -201,8 +209,8 @@ struct Access {
 
   template <class Ar>
   static void io(Ar& ar, mm::PageCache& c) {
-    ar(c.head_, c.tail_, c.count_, c.cached_bytes_, c.free_floor_, c.dirty_fraction_,
-       c.grow_count_);
+    ar(c.count_, c.cached_bytes_, c.free_floor_, c.dirty_fraction_, c.grow_count_);
+    frames(ar, c.lru_, c.buddy_.mem_map());
   }
 
   template <class Ar>
@@ -219,8 +227,9 @@ struct Access {
   template <class Ar>
   static void io(Ar& ar, mm::HugetlbPool& h) {
     ar.expect(h.pool_.size(), "hugetlb zone count mismatch");
-    for (mm::HugetlbPool::ZonePool& zp : h.pool_) {
-      ar(zp.head, zp.count);
+    for (ZoneId z = 0; z < h.pool_.size(); ++z) {
+      ar(h.pool_[z].count);
+      frames(ar, h.pool_[z].stack, h.memory_.buddy(z).mem_map());
     }
     ar(h.total_);
     ar.pod(h.stats_);

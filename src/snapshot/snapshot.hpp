@@ -1,8 +1,8 @@
 // Node snapshot/restore (DESIGN.md §12).
 //
 // capture_world() encodes every structure of a quiesced simulation —
-// engine clock and pending events, buddy bitmaps, the mem_map link
-// table, page-cache LRU chains, packed page tables, hugetlb pool
+// engine clock and pending events, buddy bitmaps, mem_map frame
+// metadata, page-cache LRU order, packed page tables, hugetlb pool
 // stacks, VMA trees, the PID registry, module state, the flight
 // recorder, metrics and the fault injector — into a WorldImage.
 // restore_world() overwrites a freshly booted world (same configuration,
@@ -75,7 +75,7 @@ void restore_world(const WorldImage& image, sim::Engine& engine,
 /// the replay-to-anomaly harness). Returns false when nothing fired.
 bool step_one(sim::Engine& engine);
 
-/// File format v4: u32 magic "HPSN", u32 version, u64 payload length,
+/// File format v6: u32 magic "HPSN", u32 version, u64 payload length,
 /// u64 digest(payload), then the payload (WorldImage::bytes).
 inline constexpr std::size_t kFileHeaderBytes = 24;
 

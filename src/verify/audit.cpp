@@ -422,7 +422,7 @@ void MmAuditor::audit_hugetlb(AuditReport& report) {
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
     total += pool->total_pages(z);
     free += pool->free_pages(z);
-    // The intrusive stack must walk to exactly the counted pages, each
+    // The pool stack must walk to exactly the counted pages, each
     // marked kHugetlbPool in its zone's mem_map.
     const hw::MemMap& map = memory.buddy(z).mem_map();
     std::uint64_t walked = 0;

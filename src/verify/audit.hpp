@@ -13,8 +13,8 @@
 //              free block heads a kBuddyFree mem_map entry, every
 //              kBuddyFree entry is on the freelist bitmap)
 //              (same checks for the Kitten heaps over offlined memory);
-//   cache      the intrusive LRU chain is sound: walking the links
-//              visits exactly block_count() blocks whose byte total is
+//   cache      the LRU is sound: walking it visits exactly
+//              block_count() blocks whose byte total is
 //              cached_bytes, every visited head carries a cache state
 //              in the mem_map, and the mem_map holds no cache-state
 //              head the LRU does not reach;
@@ -41,8 +41,8 @@
 //              zone: the mem_map's kPcpCache heads are exactly the
 //              frames the lists carry;
 //   hugetlb    pool pages are conserved: free + mapped-as-hugetlb
-//              equals the boot reservation; each zone's intrusive pool
-//              stack walks to exactly free_pages() entries, all marked
+//              equals the boot reservation; each zone's pool stack
+//              walks to exactly free_pages() entries, all marked
 //              kHugetlbPool in the mem_map.
 //
 // The auditor only reads; it reports violations instead of asserting so

@@ -322,12 +322,10 @@ TEST(Audit, DetectsBrokenLruChain) {
   mm::BuddyAllocator buddy(Range{0, 4 * MiB}, 8);
   mm::PageCache cache(buddy);
   ASSERT_GT(cache.grow(64 * KiB, 0, false), 0u);
-  std::vector<Addr> blocks;
-  cache.for_each_block([&](Addr a, unsigned, bool) { blocks.push_back(a); });
-  ASSERT_GE(blocks.size(), 3u);
-  // Truncate the chain mid-way: the walk visits fewer blocks than the
+  ASSERT_GE(cache.block_count(), 3u);
+  // Lose one LRU entry mid-way: the walk visits fewer blocks than the
   // cache accounts for, and the byte totals drift with it.
-  buddy.mem_map().set_next(buddy.mem_map().index_of(blocks[1]), hw::MemMap::kNil);
+  cache.corrupt_drop_lru_entry(1);
   verify::AuditReport r;
   verify::audit_page_cache(buddy, cache, "test", r);
   EXPECT_FALSE(r.ok());
@@ -502,14 +500,11 @@ TEST(AuditRestored, BrokenLruLinkIsNamedExactly) {
   sim::Engine engine;
   const std::unique_ptr<os::Node> node = restore_aged_world(engine);
   ASSERT_TRUE(verify::MmAuditor(*node).run().ok());
-  // Truncate the restored page-cache LRU chain mid-way (the aged boot
-  // leaves the cache warm, so the chain is long).
-  mm::BuddyAllocator& buddy = node->memory().buddy(0);
-  std::vector<Addr> blocks;
-  node->memory().cache(0).for_each_block(
-      [&](Addr a, unsigned, bool) { blocks.push_back(a); });
-  ASSERT_GE(blocks.size(), 3u);
-  buddy.mem_map().set_next(buddy.mem_map().index_of(blocks[1]), hw::MemMap::kNil);
+  // Lose one entry of the restored page-cache LRU mid-way (the aged
+  // boot leaves the cache warm, so the LRU is long).
+  mm::PageCache& cache = node->memory().cache(0);
+  ASSERT_GE(cache.block_count(), 3u);
+  cache.corrupt_drop_lru_entry(1);
   const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(has_violation(r, "cache.lru_broken") || has_violation(r, "cache.accounting"))

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -196,6 +197,13 @@ struct BuddyPropertyParams {
   unsigned max_order;
   std::uint64_t seed;
 };
+
+/// The case's name. ctest's test IDs (gtest_discover_tests) end in the
+/// printed parameter, so printing by value keeps them stable; gtest's
+/// default printer dumps the struct's bytes, padding included.
+void PrintTo(const BuddyPropertyParams& p, std::ostream* os) {
+  *os << "Arena" << p.arena_bytes / MiB << "MiB_Order" << p.max_order << "_Seed" << p.seed;
+}
 
 class BuddyProperty : public ::testing::TestWithParam<BuddyPropertyParams> {};
 

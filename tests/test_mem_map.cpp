@@ -1,5 +1,5 @@
 // Unit + property tests: the hw::MemMap frame-metadata array and the
-// intrusive structures threaded through it. The differential test at the
+// allocator marking its heads. The differential test at the
 // bottom drives the bitmap-freelist BuddyAllocator against an
 // std::set-based reference model (the pre-rework implementation's data
 // structure) through random op sequences — results, accounting and
@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -96,56 +95,6 @@ TEST(MemMap, BlockContainingRequiresMatchingOrder) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->first, kBase);
   EXPECT_EQ(hit->second, 3u);
-}
-
-TEST(MemMap, LinkInsertUpdateErase) {
-  auto m = make();
-  EXPECT_FALSE(m.has_link(7));
-  m.set_link(7, MemMap::Link{11, MemMap::kNil});
-  ASSERT_TRUE(m.has_link(7));
-  EXPECT_EQ(m.link(7).next, 11u);
-  EXPECT_EQ(m.link(7).prev, MemMap::kNil);
-  EXPECT_EQ(m.link_count(), 1u);
-  // set_link on an existing key is an update, not a second entry.
-  m.set_link(7, MemMap::Link{12, 3});
-  EXPECT_EQ(m.link_count(), 1u);
-  EXPECT_EQ(m.link(7).next, 12u);
-  m.set_next(7, 99);
-  m.set_prev(7, 98);
-  EXPECT_EQ(m.link(7).next, 99u);
-  EXPECT_EQ(m.link(7).prev, 98u);
-  m.erase_link(7);
-  EXPECT_FALSE(m.has_link(7));
-  EXPECT_EQ(m.link_count(), 0u);
-}
-
-TEST(MemMap, LinkTableSurvivesCollisionsAndRehash) {
-  auto m = make(512 * MiB);
-  // Differential check against a reference map through enough inserts to
-  // force several rehashes, interleaved with backward-shift deletions.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> ref;
-  Rng rng(0xfeedULL);
-  const std::uint32_t frames = static_cast<std::uint32_t>(m.frame_count());
-  for (int i = 0; i < 20'000; ++i) {
-    const std::uint32_t key = static_cast<std::uint32_t>(rng.uniform(frames));
-    if (rng.uniform(100) < 60 || ref.empty()) {
-      const auto next = static_cast<std::uint32_t>(rng.next_u64());
-      const auto prev = static_cast<std::uint32_t>(rng.next_u64());
-      m.set_link(key, MemMap::Link{next, prev});
-      ref[key] = {next, prev};
-    } else if (ref.contains(key)) {
-      m.erase_link(key);
-      ref.erase(key);
-    } else {
-      EXPECT_FALSE(m.has_link(key));
-    }
-  }
-  EXPECT_EQ(m.link_count(), ref.size());
-  for (const auto& [key, l] : ref) {
-    ASSERT_TRUE(m.has_link(key)) << key;
-    EXPECT_EQ(m.link(key).next, l.first);
-    EXPECT_EQ(m.link(key).prev, l.second);
-  }
 }
 
 TEST(MemMap, ForEachHeadAscendingAndComplete) {

@@ -8,11 +8,14 @@
 // a flight-recorder anomaly and single-step back to the exact event.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +25,8 @@
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 #include "introspect/procfs.hpp"
+#include "linux_mm/hugetlbfs.hpp"
+#include "linux_mm/page_cache.hpp"
 #include "linux_mm/smp.hpp"
 #include "os/node.hpp"
 #include "sim/engine.hpp"
@@ -605,6 +610,176 @@ TEST(SnapshotFuzz, MutatedImagesAreRejectedOrRestoredNeverCrash) {
   EXPECT_GT(restored, 0);
   EXPECT_TRUE(snapshot::capture_world(engine2, {&node2}, {{&build2, 0}}).bytes ==
               pristine.bytes);
+}
+
+/// The image offset of an encoded frame-index sequence: its u64 length,
+/// then its first (up to four) u32 entries. npos when absent.
+std::size_t find_frames(const snapshot::Bytes& bytes, const std::vector<std::uint32_t>& seq) {
+  std::string pattern(8 + 4 * std::min<std::size_t>(seq.size(), 4), '\0');
+  const std::uint64_t n = seq.size();
+  std::memcpy(pattern.data(), &n, 8);
+  std::memcpy(pattern.data() + 8, seq.data(), pattern.size() - 8);
+  return std::string_view(bytes.data(), bytes.size()).find(pattern);
+}
+
+// An LRU or pool-stack entry naming a frame outside its zone's mem_map
+// must be refused by restore, not trusted as an index.
+TEST(SnapshotFuzz, OutOfRangeLruAndStackIndicesAreRejected) {
+  os::NodeConfig cfg = node_config(29, /*aged=*/true);
+  cfg.machine.ram_bytes = 1 * GiB;
+  cfg.hpmmap->offline_bytes_per_zone = 128 * MiB;
+  cfg.hugetlb_pool_per_zone = 32 * MiB;
+  sim::Engine engine;
+  os::Node node(engine, cfg);
+  const hw::MemMap& map = node.memory().buddy(0).mem_map();
+  std::vector<std::uint32_t> lru;
+  node.memory().cache(0).for_each_lru(
+      [&](Addr a, unsigned, bool) { lru.push_back(map.index_of(a)); });
+  std::vector<std::uint32_t> stack; // encoded bottom to top
+  node.hugetlb()->for_each_pool_page(0, [&](Addr a) { stack.push_back(map.index_of(a)); });
+  std::reverse(stack.begin(), stack.end());
+  ASSERT_GE(lru.size(), 4u);
+  ASSERT_GE(stack.size(), 4u);
+  const snapshot::WorldImage pristine = snapshot::capture_world(engine, {&node});
+
+  cfg.aged_boot = false;
+  sim::Engine engine2;
+  os::Node node2(engine2, cfg);
+  const auto frames = static_cast<std::uint32_t>(map.frame_count());
+  for (const std::vector<std::uint32_t>* seq : {&lru, &stack}) {
+    const std::size_t at = find_frames(pristine.bytes, *seq);
+    ASSERT_NE(at, std::string_view::npos);
+    for (const std::uint32_t bad : {frames, ~std::uint32_t{0}}) {
+      snapshot::WorldImage image = pristine;
+      std::memcpy(image.bytes.data() + at + 8 + 4, &bad, sizeof bad); // the second entry
+      try {
+        snapshot::restore_world(image, engine2, {&node2});
+        ADD_FAILURE() << "index " << bad << " restored";
+      } catch (const snapshot::LoadError& e) {
+        EXPECT_NE(std::string(e.what()).find("frame index out of range"), std::string::npos)
+            << e.what();
+      }
+      snapshot::restore_world(pristine, engine2, {&node2});
+    }
+  }
+  EXPECT_TRUE(snapshot::capture_world(engine2, {&node2}).bytes == pristine.bytes);
+}
+
+// --- page-cache LRU against a list model -----------------------------------
+
+/// Random grow/adopt/shrink/clear/relocate steps on one zone's page
+/// cache, checked after every step against a std::list of (base, order,
+/// dirty), oldest first. Halfway through, the world is saved to a file,
+/// loaded and restored into a fresh node, whose cache must carry on
+/// exactly as the model does.
+TEST(PageCacheModel, RandomOpsMatchListModelAcrossSaveLoad) {
+  struct Block {
+    Addr addr;
+    unsigned order;
+    bool dirty;
+    bool operator==(const Block&) const = default;
+  };
+  os::NodeConfig cfg;
+  cfg.machine = hw::dell_r415();
+  cfg.machine.ram_bytes = 512 * MiB;
+  cfg.seed = 17;
+  cfg.aged_boot = false;
+  auto engine = std::make_unique<sim::Engine>();
+  auto node = std::make_unique<os::Node>(*engine, cfg);
+  std::list<Block> model;
+  std::uint64_t grown_blocks = 0; // mirrors the cache's dirty rotation
+  Rng rng(0x5eed);
+
+  const auto lru = [&] {
+    std::vector<Block> got;
+    node->memory().cache(0).for_each_lru(
+        [&](Addr a, unsigned o, bool d) { got.push_back(Block{a, o, d}); });
+    return got;
+  };
+  const auto check = [&](int step) {
+    const mm::PageCache& cache = node->memory().cache(0);
+    const std::vector<Block> got = lru();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), model.begin(), model.end()))
+        << "step " << step;
+    std::uint64_t bytes = 0;
+    for (const Block& b : model) {
+      bytes += mm::BuddyAllocator::order_bytes(b.order);
+    }
+    ASSERT_EQ(cache.block_count(), model.size()) << "step " << step;
+    ASSERT_EQ(cache.cached_bytes(), bytes) << "step " << step;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    if (step == 1500) {
+      const std::string path =
+          (std::filesystem::temp_directory_path() / "hpmmap_test_page_cache_model.img").string();
+      snapshot::save(snapshot::capture_world(*engine, {node.get()}), path);
+      const snapshot::WorldImage image = snapshot::load(path);
+      std::remove(path.c_str());
+      auto engine2 = std::make_unique<sim::Engine>();
+      auto node2 = std::make_unique<os::Node>(*engine2, cfg);
+      snapshot::restore_world(image, *engine2, {node2.get()});
+      node = std::move(node2);
+      engine = std::move(engine2);
+      ASSERT_TRUE(verify::MmAuditor(*node).run().ok());
+    }
+    mm::PageCache& cache = node->memory().cache(0);
+    mm::BuddyAllocator& buddy = node->memory().buddy(0);
+    const unsigned order = static_cast<unsigned>(rng.uniform(4));
+    const std::uint64_t op = rng.uniform(100);
+    if (op < 35) { // grow: new blocks join at the back
+      const bool dirty = rng.chance(0.2);
+      const std::uint64_t want = rng.uniform(1, 16) * 64 * KiB;
+      const std::size_t before = model.size();
+      const std::uint64_t grown = cache.grow(want, order, dirty);
+      const std::vector<Block> got = lru();
+      ASSERT_EQ(got.size(), before + grown / mm::BuddyAllocator::order_bytes(order));
+      for (std::size_t i = before; i < got.size(); ++i) {
+        const bool rotated = static_cast<double>(grown_blocks % 100) <
+                             cache.dirty_fraction() * 100.0;
+        ++grown_blocks;
+        EXPECT_EQ(got[i].order, order);
+        EXPECT_EQ(got[i].dirty, dirty || (cache.dirty_fraction() > 0.0 && rotated));
+        EXPECT_FALSE(buddy.free_block_containing(got[i].addr).has_value());
+        model.push_back(got[i]);
+      }
+    } else if (op < 55) { // adopt an allocated block
+      if (const auto a = buddy.alloc(order)) {
+        const bool dirty = rng.chance(0.5);
+        cache.adopt(a->addr, order, dirty);
+        model.push_back(Block{a->addr, order, dirty});
+      }
+    } else if (op < 80) { // shrink from the front
+      const std::uint64_t want = rng.uniform(1, 8) * 32 * KiB;
+      mm::PageCache::ShrinkResult expect;
+      while (expect.bytes_freed < want && !model.empty()) {
+        expect.bytes_freed += mm::BuddyAllocator::order_bytes(model.front().order);
+        ++(model.front().dirty ? expect.writeback_blocks : expect.clean_blocks);
+        model.pop_front();
+      }
+      const mm::PageCache::ShrinkResult got = cache.shrink(want);
+      EXPECT_EQ(got.bytes_freed, expect.bytes_freed);
+      EXPECT_EQ(got.writeback_blocks, expect.writeback_blocks);
+      EXPECT_EQ(got.clean_blocks, expect.clean_blocks);
+    } else if (op < 82) {
+      cache.clear();
+      model.clear();
+    } else if (!model.empty()) { // relocate keeps the LRU position
+      auto it = model.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform(model.size())));
+      if (const auto target = buddy.alloc(it->order)) {
+        cache.relocate(it->addr, target->addr);
+        buddy.free(it->addr, it->order);
+        it->addr = target->addr;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
+    if (step % 250 == 0) {
+      verify::AuditReport r;
+      verify::audit_page_cache(node->memory().buddy(0), node->memory().cache(0), "zone0", r);
+      ASSERT_TRUE(r.ok()) << "step " << step << ": " << r.summary();
+    }
+  }
 }
 
 // --- causal spans ----------------------------------------------------------
